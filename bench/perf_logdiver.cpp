@@ -108,6 +108,36 @@ void BM_Coalesce(benchmark::State& state) {
 }
 BENCHMARK(BM_Coalesce)->Unit(benchmark::kMillisecond);
 
+// Key-sharded coalescing over the columnar feed (the AnalyzeParsed
+// path) at N pool threads; the output is identical at every N.
+void BM_CoalesceThreads(benchmark::State& state) {
+  const auto& shared = Shared();
+  static const auto* columns = [&] {
+    ld::SyslogParser syslog_parser(2013);
+    ld::HwerrParser hwerr_parser;
+    auto* c = new ld::ErrorColumns();
+    c->Append(syslog_parser.ParseLines(shared.logs.syslog));
+    c->Append(hwerr_parser.ParseLines(shared.logs.hwerr));
+    return c;
+  }();
+  const int threads = static_cast<int>(state.range(0));
+  ld::ThreadPool pool(threads);
+  ld::ThreadPool* pool_ptr = threads > 1 ? &pool : nullptr;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        ld::CoalesceEvents(shared.machine, *columns, {}, nullptr, pool_ptr));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(columns->size()));
+}
+BENCHMARK(BM_CoalesceThreads)
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
+    ->Arg(8)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+
 void BM_Reconstruct(benchmark::State& state) {
   const auto& shared = Shared();
   ld::AlpsParser alps_parser;

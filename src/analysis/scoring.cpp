@@ -1,6 +1,7 @@
 #include "analysis/scoring.hpp"
 
 #include "common/csv.hpp"
+#include "common/obs/obs.hpp"
 #include "common/strings.hpp"
 
 namespace ld {
@@ -20,6 +21,7 @@ ScoreReport ScoreClassification(
     const std::vector<AppRun>& runs,
     const std::vector<ClassifiedRun>& classified,
     const std::unordered_map<ApId, TruthRecord>& truth) {
+  LD_OBS_SPAN("score");
   ScoreReport report;
 
   std::uint64_t tp = 0, fp = 0, fn = 0;
@@ -80,6 +82,7 @@ ScoreReport ScoreClassification(
 
 Result<std::unordered_map<ApId, TruthRecord>> LoadGroundTruth(
     const std::string& path) {
+  LD_OBS_SPAN("ground_truth/load");
   auto table = CsvReader::ReadFile(path, /*has_header=*/true);
   if (!table.ok()) return table.status();
   std::unordered_map<ApId, TruthRecord> truth;

@@ -1,7 +1,11 @@
 #include "logdiver/coalesce.hpp"
 
 #include <algorithm>
+#include <array>
+#include <cstdint>
 
+#include "common/obs/obs.hpp"
+#include "common/parallel.hpp"
 #include "logdiver/columns.hpp"
 #include "logdiver/snapshot.hpp"
 #include "topology/cname.hpp"
@@ -69,6 +73,71 @@ void SortByFirst(std::vector<ErrorTuple>& tuples) {
               if (a.first != b.first) return a.first < b.first;
               return a.id < b.id;
             });
+}
+
+/// Key shards of the batch coalescer.  Fixed rather than taken from the
+/// pool, so the work split (and the trace's span set) is the same at
+/// every thread count, as with parse chunks; twice a 4-thread pool, so
+/// an error storm's few hot keys still leave every worker a share.
+constexpr std::size_t kCoalesceShards = 8;
+
+std::size_t ShardOf(std::uint64_t open_key) {
+  // Fibonacci hashing: symbol ids are dense, so spread them first.
+  return static_cast<std::size_t>((open_key * 0x9E3779B97F4A7C15ULL) >> 32) %
+         kCoalesceShards;
+}
+
+/// A record's place in the serial feed: (time, input index).  Sorting
+/// by it streams the dense int64 time column instead of shuffling
+/// ~48-byte records, and it is total (indices are unique), so the
+/// text-parse and bundle-cache paths assign identical tuple ids.
+struct OrderKey {
+  std::int64_t time;  // unix seconds, same key the column stores
+  std::uint32_t index;
+
+  // Branch-free: the merge below picks the least of its shards' heads
+  // with this on every step, and which shard wins is data-dependent.
+  friend bool operator<(const OrderKey& a, const OrderKey& b) {
+    return (a.time < b.time) | ((a.time == b.time) & (a.index < b.index));
+  }
+};
+
+/// Head of a shard whose creators are used up: after every real key
+/// (a record index never reaches UINT32_MAX).
+constexpr OrderKey kExhausted{INT64_MAX, UINT32_MAX};
+
+/// One key shard's coalesced output.
+struct CoalesceShard {
+  std::vector<ErrorTuple> tuples;  // (first, local id) order
+  /// creators[i] opened the tuple with local id i + 1, dropped
+  /// unresolved ones included (they consume an id in the serial feed).
+  std::vector<OrderKey> creators;
+  CoalesceStats stats;
+};
+
+/// Coalesces the records whose (category, location) key falls in
+/// `shard`, in serial feed order.
+CoalesceShard RunShard(const Machine& machine, const ErrorColumns& records,
+                       const CoalesceConfig& config, std::size_t shard) {
+  std::vector<OrderKey> order;
+  order.reserve(records.size() / kCoalesceShards);
+  for (std::uint32_t i = 0; i < records.size(); ++i) {
+    const std::uint64_t key =
+        OpenKey(static_cast<ErrorCategory>(records.category[i]),
+                records.location[i]);
+    if (ShardOf(key) == shard) order.push_back(OrderKey{records.time[i], i});
+  }
+  std::sort(order.begin(), order.end());
+  CoalesceShard out;
+  StreamingCoalescer coalescer(machine, config);
+  for (const OrderKey& key : order) {
+    const std::uint64_t id = coalescer.next_id();
+    coalescer.Add(records.Row(key.index));
+    if (coalescer.next_id() != id) out.creators.push_back(key);
+  }
+  out.tuples = coalescer.FlushAll();
+  out.stats = coalescer.stats();
+  return out;
 }
 
 }  // namespace
@@ -284,7 +353,10 @@ void StreamingCoalescer::LoadState(SnapshotReader& r) {
   next_id_ = r.U64();
   open_.clear();
   const std::uint32_t open_count = r.U32();
-  if (r.ok()) open_.reserve(std::max<std::uint32_t>(open_count, 256));
+  // Each open entry: category, location length prefix, then the tuple.
+  if (r.CheckCount(open_count, 8 + kErrorTupleMinBytes)) {
+    open_.reserve(std::max<std::uint32_t>(open_count, 256));
+  }
   for (std::uint32_t i = 0; i < open_count && r.ok(); ++i) {
     const auto cat = static_cast<ErrorCategory>(r.I32());
     const Symbol location = Intern(r.Str());
@@ -294,7 +366,9 @@ void StreamingCoalescer::LoadState(SnapshotReader& r) {
   }
   closed_.clear();
   const std::uint32_t closed_count = r.U32();
-  if (r.ok()) closed_.reserve(closed_count);
+  if (r.CheckCount(closed_count, kErrorTupleMinBytes)) {
+    closed_.reserve(closed_count);
+  }
   for (std::uint32_t i = 0; i < closed_count && r.ok(); ++i) {
     ErrorTuple tuple;
     LoadErrorTuple(r, tuple);
@@ -302,35 +376,60 @@ void StreamingCoalescer::LoadState(SnapshotReader& r) {
   }
 }
 
-std::vector<ErrorTuple> CoalesceEvents(const Machine& machine,
-                                       const ErrorColumns& records,
-                                       const CoalesceConfig& config,
-                                       CoalesceStats* stats) {
-  // Sort keyed by (time, input index): streaming the dense int64 time
-  // column instead of shuffling ~48-byte records, and — unlike the
-  // unstable by-time record sort this replaced — fully deterministic on
-  // equal timestamps, so the text-parse and bundle-cache paths assign
-  // identical tuple ids.  The key is packed next to the index so the
-  // sort's comparisons stay sequential instead of chasing the time
-  // column through an index indirection.
-  struct OrderKey {
-    std::int64_t time;  // unix seconds, same key the column stores
-    std::uint32_t index;
-  };
-  std::vector<OrderKey> order;
-  order.reserve(records.size());
-  for (std::uint32_t i = 0; i < records.size(); ++i) {
-    order.push_back(OrderKey{records.time[i], i});
+std::vector<ErrorTuple> CoalesceEvents(
+    const Machine& machine, const ErrorColumns& records,
+    const CoalesceConfig& config, CoalesceStats* stats, ThreadPool* pool,
+    const std::function<void()>& alongside) {
+  std::vector<CoalesceShard> shards(kCoalesceShards);
+  {
+    TaskGroup group(pool);
+    for (std::size_t s = 0; s < kCoalesceShards; ++s) {
+      group.Run([&machine, &records, &config, &shards, s] {
+        LD_OBS_SPAN("coalesce/shard");
+        shards[s] = RunShard(machine, records, config, s);
+      });
+    }
+    if (alongside) alongside();
+    group.Wait();
   }
-  std::sort(order.begin(), order.end(),
-            [](const OrderKey& a, const OrderKey& b) {
-              if (a.time != b.time) return a.time < b.time;
-              return a.index < b.index;
-            });
-  StreamingCoalescer coalescer(machine, config);
-  for (const OrderKey& key : order) coalescer.Add(records.Row(key.index));
-  std::vector<ErrorTuple> out = coalescer.FlushAll();
-  if (stats != nullptr) *stats = coalescer.stats();
+
+  CoalesceStats total;
+  std::uint64_t creators = 0;
+  std::array<OrderKey, kCoalesceShards> head;  // next creator per shard
+  for (std::size_t s = 0; s < kCoalesceShards; ++s) {
+    const CoalesceShard& shard = shards[s];
+    total.input_events += shard.stats.input_events;
+    total.tuples += shard.stats.tuples;
+    total.unresolved_locations += shard.stats.unresolved_locations;
+    creators += shard.creators.size();
+    head[s] = shard.creators.empty() ? kExhausted : shard.creators[0];
+  }
+  // One k-way merge of every shard's creators in (time, index) order
+  // replays the serial feed's tuple creations, so the i-th creator met
+  // gets id i.  A tuple's first event is its creator's (a shard feeds in
+  // time order, so no later member is earlier), so the same merge meets
+  // the surviving tuples in (first, id) order and appends them as is.
+  std::vector<ErrorTuple> out;
+  out.reserve(total.tuples);
+  std::array<std::size_t, kCoalesceShards> created{};  // creators met
+  std::array<std::size_t, kCoalesceShards> placed{};   // tuples appended
+  for (std::uint64_t id = 1; id <= creators; ++id) {
+    std::size_t best = 0;
+    for (std::size_t s = 1; s < kCoalesceShards; ++s) {
+      best = head[s] < head[best] ? s : best;
+    }
+    CoalesceShard& shard = shards[best];
+    const std::size_t local = created[best]++;
+    head[best] = created[best] < shard.creators.size()
+                     ? shard.creators[created[best]]
+                     : kExhausted;
+    std::size_t& next = placed[best];
+    if (next < shard.tuples.size() && shard.tuples[next].id == local + 1) {
+      out.push_back(std::move(shard.tuples[next++]));
+      out.back().id = id;
+    }
+  }
+  if (stats != nullptr) *stats = total;
   return out;
 }
 

@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -25,6 +26,7 @@ namespace ld {
 
 class SnapshotWriter;
 class SnapshotReader;
+class ThreadPool;
 
 struct ErrorTuple {
   std::uint64_t id = 0;
@@ -83,6 +85,9 @@ class StreamingCoalescer {
   std::optional<TimePoint> EarliestOpenIncident() const;
 
   std::size_t open_tuples() const { return open_.size(); }
+  /// Id the next new tuple will take; Add() advanced it iff the record
+  /// opened a tuple (a later-dropped unresolved one included).
+  std::uint64_t next_id() const { return next_id_; }
   const CoalesceStats& stats() const { return stats_; }
 
   /// Folds another coalescer's state into this one (stats sum, closed
@@ -130,14 +135,26 @@ class StreamingCoalescer {
 struct ErrorColumns;  // columns.hpp
 
 /// Coalesces parsed error records into tuples.  Input order is free; the
-/// output is sorted by first-event time.  The columnar overload is the
-/// primary implementation (an index sort over the dense time column,
-/// deterministic on ties by input order); the AoS overload converts and
-/// delegates, so both produce identical tuples for identical inputs.
-std::vector<ErrorTuple> CoalesceEvents(const Machine& machine,
-                                       const ErrorColumns& records,
-                                       const CoalesceConfig& config,
-                                       CoalesceStats* stats = nullptr);
+/// output is sorted by (first-event time, id) and is exactly what one
+/// StreamingCoalescer fed every record in (time, input index) order
+/// would produce — ids and stats included — at any pool size.
+///
+/// The work is split by (category, location) key into a fixed number of
+/// key-disjoint shards, each coalesced by its own StreamingCoalescer
+/// (concurrently on `pool`, inline without one).  A key's tuples depend
+/// only on that key's records, so every shard yields the serial tuples
+/// of its keys; a tuple's id is the 1-based rank of the record that
+/// created it across all shards, which is the order the serial feed
+/// would have created it in.  `alongside`, when set, runs on the calling
+/// thread while the shards run on the pool, or after them without one
+/// (AnalyzeParsed reconstructs runs there, so their memory comes from
+/// the caller's allocator arena as it would serially).  The columnar overload is the primary
+/// implementation; the AoS overload converts and delegates.
+std::vector<ErrorTuple> CoalesceEvents(
+    const Machine& machine, const ErrorColumns& records,
+    const CoalesceConfig& config, CoalesceStats* stats = nullptr,
+    ThreadPool* pool = nullptr,
+    const std::function<void()>& alongside = nullptr);
 std::vector<ErrorTuple> CoalesceEvents(const Machine& machine,
                                        std::vector<ErrorRecord> records,
                                        const CoalesceConfig& config,

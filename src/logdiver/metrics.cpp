@@ -487,7 +487,8 @@ void MetricsAccumulator::LoadState(SnapshotReader& r) {
   for (auto* scale : {&xe_scale_, &xk_scale_}) {
     scale->clear();
     const std::uint32_t points = r.U32();
-    if (r.ok()) scale->reserve(points);
+    // lo, hi (u32) + runs, system_failures (u64) per point.
+    if (r.CheckCount(points, 24)) scale->reserve(points);
     for (std::uint32_t i = 0; i < points && r.ok(); ++i) {
       ScalePoint p;
       p.lo = r.U32();
@@ -531,7 +532,7 @@ void MetricsAccumulator::LoadState(SnapshotReader& r) {
   for (std::unordered_set<JobId>* jobs : {&seen_jobs_, &failed_jobs_}) {
     jobs->clear();
     const std::uint64_t count = r.U64();
-    if (r.ok()) jobs->reserve(count);
+    if (r.CheckCount(count, sizeof(JobId))) jobs->reserve(count);
     for (std::uint64_t i = 0; i < count && r.ok(); ++i) {
       jobs->insert(r.U64());
     }

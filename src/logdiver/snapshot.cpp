@@ -157,6 +157,18 @@ void SnapshotReader::Fail(std::string why) {
   }
 }
 
+bool SnapshotReader::CheckCount(std::uint64_t count,
+                                std::size_t min_elem_bytes) {
+  if (!ok()) return false;
+  if (count > remaining() / min_elem_bytes) {
+    Fail("count " + std::to_string(count) + " of >= " +
+         std::to_string(min_elem_bytes) + "-byte elements overruns the " +
+         std::to_string(remaining()) + " bytes left");
+    return false;
+  }
+  return true;
+}
+
 std::uint8_t SnapshotReader::U8() {
   if (pos_ + 1 > size_) {
     Fail("truncated u8 at offset " + std::to_string(pos_));
@@ -396,7 +408,7 @@ void LoadErrorTuple(SnapshotReader& r, ErrorTuple& tuple) {
   tuple.location = Intern(r.Str());
   const std::uint32_t nodes = r.U32();
   tuple.nodes.clear();
-  if (r.ok()) tuple.nodes.reserve(nodes);
+  if (r.CheckCount(nodes, sizeof(std::uint32_t))) tuple.nodes.reserve(nodes);
   for (std::uint32_t i = 0; i < nodes && r.ok(); ++i) {
     tuple.nodes.push_back(r.U32());
   }

@@ -113,6 +113,12 @@ class SnapshotReader {
   /// Bytes not yet consumed; 0 when fully read.
   std::size_t remaining() const { return size_ - pos_; }
   void Fail(std::string why);
+  /// Vets a decoded element count before it sizes an allocation: false
+  /// (with an error latched) when the reader already failed or `count`
+  /// elements of at least `min_elem_bytes` each cannot fit in what is
+  /// left, so a lying count fails the load instead of throwing
+  /// std::bad_alloc.
+  bool CheckCount(std::uint64_t count, std::size_t min_elem_bytes);
 
  private:
   const std::uint8_t* data_;
@@ -135,6 +141,9 @@ void SaveAppRun(SnapshotWriter& w, const AppRun& run);
 void LoadAppRun(SnapshotReader& r, AppRun& run);
 void SaveErrorTuple(SnapshotWriter& w, const ErrorTuple& tuple);
 void LoadErrorTuple(SnapshotReader& r, ErrorTuple& tuple);
+/// Smallest SaveErrorTuple encoding: empty location, no nodes, no
+/// recovery time.
+inline constexpr std::size_t kErrorTupleMinBytes = 42;
 void SaveQuarantineEntry(SnapshotWriter& w, const QuarantineEntry& e);
 void LoadQuarantineEntry(SnapshotReader& r, QuarantineEntry& e);
 

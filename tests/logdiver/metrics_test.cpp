@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "logdiver/snapshot.hpp"
+
 namespace ld {
 namespace {
 
@@ -255,6 +257,24 @@ TEST(Metrics, CustomScaleBuckets) {
   const MetricsReport report = ComputeMetrics(runs, classified, {}, config);
   ASSERT_EQ(report.xe_scale.size(), 2u);
   EXPECT_EQ(report.xe_scale[1].runs, 1u);
+}
+
+TEST(Metrics, LoadStateRejectsLyingJobCountWithoutThrowing) {
+  // An empty accumulator's state ends with the seen-jobs count (u64),
+  // the failed-jobs count (u64) and the queue-wait count (u32).  A
+  // seen-jobs count of 2^62, which no payload could hold, must fail the
+  // load instead of throwing out of the set's reserve().
+  SnapshotWriter w;
+  MetricsAccumulator().SaveState(w);
+  std::vector<std::uint8_t> bytes = w.TakeBytes();
+  ASSERT_GE(bytes.size(), 20u);
+  const std::size_t seen_count = bytes.size() - 20;
+  ASSERT_EQ(bytes[seen_count], 0u);
+  bytes[seen_count + 7] = 0x40;  // little-endian: bit 62
+  SnapshotReader r(bytes);
+  MetricsAccumulator restored;
+  EXPECT_NO_THROW(restored.LoadState(r));
+  EXPECT_FALSE(r.ok());
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "logdiver/coalesce.hpp"
+#include "logdiver/snapshot.hpp"
 
 namespace ld {
 namespace {
@@ -112,6 +113,24 @@ TEST_F(StreamingCoalesceTest, StatsTrackEventsAndTuples) {
   EXPECT_EQ(coalescer_.stats().input_events, 3u);
   EXPECT_EQ(coalescer_.stats().tuples, 1u);
   EXPECT_EQ(coalescer_.stats().unresolved_locations, 1u);
+}
+
+TEST_F(StreamingCoalesceTest, LoadStateRejectsLyingCountsWithoutThrowing) {
+  // A payload whose closed (or open) tuple count claims 2^32 - 1 entries
+  // must fail the load, not reserve ~400 GB and throw std::bad_alloc.
+  for (const bool lie_in_open : {false, true}) {
+    SnapshotWriter w;
+    w.U64(0);  // input_events
+    w.U64(0);  // tuples
+    w.U64(0);  // unresolved_locations
+    w.U64(1);  // next id
+    w.U32(lie_in_open ? 0xFFFFFFFFu : 0);  // open count
+    if (!lie_in_open) w.U32(0xFFFFFFFFu);  // closed count
+    SnapshotReader r(w.bytes());
+    StreamingCoalescer restored(machine_, CoalesceConfig{});
+    EXPECT_NO_THROW(restored.LoadState(r));
+    EXPECT_FALSE(r.ok()) << (lie_in_open ? "open" : "closed");
+  }
 }
 
 }  // namespace
