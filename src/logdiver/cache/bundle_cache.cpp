@@ -1,30 +1,26 @@
 #include "logdiver/cache/bundle_cache.hpp"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <bit>
-#include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <unordered_map>
 #include <utility>
 
 #include "common/obs/names.hpp"
 #include "common/obs/obs.hpp"
-#include "logdiver/block_reader.hpp"
-#include "logdiver/snapshot.hpp"
 
 namespace ld::cache {
 namespace {
 
 // --- keys ------------------------------------------------------------
 
-// Same FNV-1a-64 as resume.cpp's BundlePartitionFingerprint; the two
-// must stay value-identical (bundle_cache_test pins this) so a fleet
-// worker's snapshot fingerprint and its claims-cache entry agree.
+// FNV-1a's prime with an offset basis one digit short of FNV-1a-64's
+// 14695981039346656037 — so not FNV-1a-64, and not bit-compatible with
+// the manifest/rng/ledger hashes.  Kept as is: LinesFingerprint values
+// are persisted in snapshot/partial headers and cache file names
+// (bundle_cache_test pins them); the service's TenantFingerprint shares
+// the basis.
 constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
 constexpr std::uint64_t kFnvPrime = 1099511628211ull;
 
@@ -39,11 +35,12 @@ void FnvMix(std::uint64_t& h, const void* data, std::size_t size) {
 // Word-folded FNV variant for bulk line content: folds eight input
 // bytes per multiply instead of one.  Not bit-compatible with the
 // byte-at-a-time mix above, which is fine — fingerprints are always
-// recomputed at runtime on both the store and the load side, never
-// compared against an externally pinned value, so changing the mix
-// only ever turns old entries into safe rejections.  The bulk path is
-// little-endian only; big-endian hosts take the bytewise loop (and a
-// cache entry shared across endiannesses rejects, which is correct).
+// recomputed at runtime on both the store and the load side, so
+// changing the mix only ever turns old entries and snapshots into safe
+// rejections (and must update the values bundle_cache_test pins).  The
+// bulk path is little-endian only; big-endian hosts take the bytewise
+// loop (and a cache entry shared across endiannesses rejects, which is
+// correct).
 void FnvMixBulk(std::uint64_t& h, const void* data, std::size_t size) {
   const auto* bytes = static_cast<const unsigned char*>(data);
   std::size_t i = 0;
@@ -66,397 +63,29 @@ void MixI64(std::uint64_t& h, std::int64_t v) {
   MixU64(h, static_cast<std::uint64_t>(v));
 }
 
-// --- file framing ----------------------------------------------------
-
-// Deliberately distinct from the snapshot magic: a checkpoint copied
-// into a cache directory (or vice versa) must fail the very first
-// header check, not limp into payload decoding.
-constexpr std::array<std::uint8_t, 8> kMagic = {'L', 'D', 'P', 'B',
-                                                'C', 'H', 'E', '1'};
-// magic | version u32 | crc u32 | payload size u64 | fingerprint u64
-constexpr std::size_t kHeaderSize = kMagic.size() + 4 + 4 + 8 + 8;
-
 constexpr std::uint8_t kKindBundle = 1;
 constexpr std::uint8_t kKindClaims = 2;
 
-void PutU32(std::uint8_t* out, std::uint32_t v) {
-  out[0] = static_cast<std::uint8_t>(v);
-  out[1] = static_cast<std::uint8_t>(v >> 8);
-  out[2] = static_cast<std::uint8_t>(v >> 16);
-  out[3] = static_cast<std::uint8_t>(v >> 24);
-}
-
-std::uint32_t GetU32(const std::uint8_t* p) {
-  return static_cast<std::uint32_t>(p[0]) |
-         static_cast<std::uint32_t>(p[1]) << 8 |
-         static_cast<std::uint32_t>(p[2]) << 16 |
-         static_cast<std::uint32_t>(p[3]) << 24;
-}
-
-std::uint64_t GetU64(const std::uint8_t* p) {
-  return static_cast<std::uint64_t>(GetU32(p)) |
-         static_cast<std::uint64_t>(GetU32(p + 4)) << 32;
-}
-
-/// Atomic publish with the snapshot store's discipline: pid-qualified
-/// tmp, full write, fsync, rename.  Concurrent writers of the same
-/// entry race benignly — last rename wins and both candidates are
-/// complete, valid files.
-Status AtomicWrite(const std::string& path,
-                   const std::vector<std::uint8_t>& bytes) {
-  const std::string tmp =
-      path + ".tmp." + std::to_string(static_cast<long long>(::getpid()));
-  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) {
-    return InternalError("bundle cache: cannot create " + tmp + ": " +
-                         std::strerror(errno));
-  }
-  std::size_t written = 0;
-  while (written < bytes.size()) {
-    const ssize_t n =
-        ::write(fd, bytes.data() + written, bytes.size() - written);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      const std::string why = std::strerror(errno);
-      ::close(fd);
-      ::unlink(tmp.c_str());
-      return InternalError("bundle cache: short write to " + tmp + ": " + why);
-    }
-    written += static_cast<std::size_t>(n);
-  }
-  if (::fsync(fd) != 0) {
-    const std::string why = std::strerror(errno);
-    ::close(fd);
-    ::unlink(tmp.c_str());
-    return InternalError("bundle cache: fsync " + tmp + " failed: " + why);
-  }
-  if (::close(fd) != 0) {
-    ::unlink(tmp.c_str());
-    return InternalError("bundle cache: close " + tmp + " failed");
-  }
-  if (::rename(tmp.c_str(), path.c_str()) != 0) {
-    const std::string why = std::strerror(errno);
-    ::unlink(tmp.c_str());
-    return InternalError("bundle cache: rename to " + path + " failed: " +
-                         why);
-  }
-  return Status::Ok();
-}
-
-Status WriteEntry(const std::string& dir, const std::string& path,
-                  std::uint64_t fingerprint, SnapshotWriter&& payload_writer) {
+/// Publishes one cache entry (framed, atomic; see WriteFramedFile).
+Status WriteEntry(
+    const std::string& dir, const std::string& path, std::uint64_t fingerprint,
+    std::initializer_list<std::span<const std::uint8_t>> payload) {
   std::error_code ec;
   std::filesystem::create_directories(dir, ec);
   if (ec) {
     return InternalError("bundle cache: cannot create " + dir + ": " +
                          ec.message());
   }
-  const std::vector<std::uint8_t> payload = payload_writer.TakeBytes();
-  std::vector<std::uint8_t> framed;
-  framed.reserve(kHeaderSize + payload.size());
-  framed.insert(framed.end(), kMagic.begin(), kMagic.end());
-  std::uint8_t scratch[8];
-  PutU32(scratch, kBundleCacheVersion);
-  framed.insert(framed.end(), scratch, scratch + 4);
-  PutU32(scratch, Crc32(payload));
-  framed.insert(framed.end(), scratch, scratch + 4);
-  const std::uint64_t size = payload.size();
-  PutU32(scratch, static_cast<std::uint32_t>(size));
-  PutU32(scratch + 4, static_cast<std::uint32_t>(size >> 32));
-  framed.insert(framed.end(), scratch, scratch + 8);
-  PutU32(scratch, static_cast<std::uint32_t>(fingerprint));
-  PutU32(scratch + 4, static_cast<std::uint32_t>(fingerprint >> 32));
-  framed.insert(framed.end(), scratch, scratch + 8);
-  framed.insert(framed.end(), payload.begin(), payload.end());
-  LD_TRY(AtomicWrite(path, framed));
+  auto written = WriteFramedFile(path, kBundleCacheFile, payload, fingerprint);
+  if (!written.ok()) {
+    return InternalError("bundle cache: " + written.status().message());
+  }
   LD_OBS_COUNTER_ADD(obs::names::kCacheWritesTotal, 1);
-  LD_OBS_COUNTER_ADD(obs::names::kCacheWriteBytesTotal, framed.size());
+  LD_OBS_COUNTER_ADD(obs::names::kCacheWriteBytesTotal, *written);
   return Status::Ok();
 }
 
-/// A mapped entry whose header has passed every structural check; the
-/// payload span aliases the mapping, which must stay alive through
-/// decoding.
-struct MappedEntry {
-  MappedFile file;
-  const std::uint8_t* payload = nullptr;
-  std::size_t size = 0;
-};
-
-/// Every failure path here is a *rejection*: the file exists but cannot
-/// be trusted.  The caller converts to a loud fallback.
-Result<MappedEntry> OpenEntry(const std::string& path,
-                              std::uint64_t expected_fingerprint) {
-  auto mapped = MappedFile::Open(path);
-  if (!mapped.ok()) return mapped.status();
-  MappedEntry entry;
-  entry.file = std::move(*mapped);
-  const std::string_view data = entry.file.data();
-  const auto* bytes = reinterpret_cast<const std::uint8_t*>(data.data());
-  if (data.size() < kHeaderSize) {
-    return ParseError(path + " shorter than the header");
-  }
-  if (!std::equal(kMagic.begin(), kMagic.end(), bytes)) {
-    return ParseError(path + " has a bad magic number");
-  }
-  const std::uint32_t version = GetU32(bytes + kMagic.size());
-  if (version != kBundleCacheVersion) {
-    return ParseError(path + " has format version " + std::to_string(version) +
-                      ", this build speaks " +
-                      std::to_string(kBundleCacheVersion));
-  }
-  const std::uint32_t crc = GetU32(bytes + kMagic.size() + 4);
-  const std::uint64_t declared = GetU64(bytes + kMagic.size() + 8);
-  if (declared != data.size() - kHeaderSize) {
-    return ParseError(path + " is torn (declares " + std::to_string(declared) +
-                      " payload bytes, has " +
-                      std::to_string(data.size() - kHeaderSize) + ")");
-  }
-  entry.payload = bytes + kHeaderSize;
-  entry.size = data.size() - kHeaderSize;
-  if (Crc32(entry.payload, entry.size) != crc) {
-    return ParseError(path + " fails its CRC check");
-  }
-  const std::uint64_t fingerprint = GetU64(bytes + kMagic.size() + 16);
-  if (fingerprint != expected_fingerprint) {
-    return ParseError(path + " belongs to a different bundle (fingerprint " +
-                      std::to_string(fingerprint) + ", expected " +
-                      std::to_string(expected_fingerprint) + ")");
-  }
-  return entry;
-}
-
-// --- column primitives -----------------------------------------------
-
-template <typename T>
-void PutElement(SnapshotWriter& w, T v) {
-  static_assert(sizeof(T) == 1 || sizeof(T) == 4 || sizeof(T) == 8);
-  if constexpr (sizeof(T) == 1) {
-    std::uint8_t b;
-    std::memcpy(&b, &v, 1);
-    w.U8(b);
-  } else if constexpr (sizeof(T) == 4) {
-    std::uint32_t b;
-    std::memcpy(&b, &v, 4);
-    w.U32(b);
-  } else {
-    std::uint64_t b;
-    std::memcpy(&b, &v, 8);
-    w.U64(b);
-  }
-}
-
-template <typename T>
-T GetElement(SnapshotReader& r) {
-  static_assert(sizeof(T) == 1 || sizeof(T) == 4 || sizeof(T) == 8);
-  T v{};
-  if constexpr (sizeof(T) == 1) {
-    const std::uint8_t b = r.U8();
-    std::memcpy(&v, &b, 1);
-  } else if constexpr (sizeof(T) == 4) {
-    const std::uint32_t b = r.U32();
-    std::memcpy(&v, &b, 4);
-  } else {
-    const std::uint64_t b = r.U64();
-    std::memcpy(&v, &b, 8);
-  }
-  return v;
-}
-
-/// u64 count + the raw little-endian array.  On LE hosts (every target
-/// this repo builds for) the dump and the load are single memcpys —
-/// this is what makes a records hit decode at memory bandwidth.
-template <typename T>
-void PutPodColumn(SnapshotWriter& w, const std::vector<T>& col) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  w.U64(col.size());
-  if constexpr (std::endian::native == std::endian::little) {
-    w.Raw(col.data(), col.size() * sizeof(T));
-  } else {
-    for (const T& v : col) PutElement(w, v);
-  }
-}
-
-template <typename T>
-void GetPodColumn(SnapshotReader& r, std::vector<T>& col) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  const std::uint64_t n = r.U64();
-  if (!r.ok()) return;
-  if (n > r.remaining() / sizeof(T)) {
-    r.Fail("column longer than the payload");
-    return;
-  }
-  col.resize(n);
-  if constexpr (std::endian::native == std::endian::little) {
-    r.Raw(col.data(), col.size() * sizeof(T));
-  } else {
-    for (T& v : col) v = GetElement<T>(r);
-  }
-}
-
-/// Interned-symbol column: a first-seen string table (u32 count +
-/// length-prefixed strings) followed by a u32 index column.  Symbol ids
-/// are process-local (intern.hpp), so the *strings* are the on-disk
-/// identity and the loader re-interns them.
-template <typename GetFn>
-void PutSymbolColumn(SnapshotWriter& w, std::size_t n, GetFn get) {
-  std::unordered_map<std::uint32_t, std::uint32_t> seen;
-  std::vector<Symbol> table;
-  std::vector<std::uint32_t> idx(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const Symbol s = get(i);
-    const auto [it, inserted] =
-        seen.emplace(s.id(), static_cast<std::uint32_t>(table.size()));
-    if (inserted) table.push_back(s);
-    idx[i] = it->second;
-  }
-  w.U32(static_cast<std::uint32_t>(table.size()));
-  for (const Symbol s : table) w.Str(s.view());
-  PutPodColumn(w, idx);
-}
-
-template <typename SetFn>
-void GetSymbolColumn(SnapshotReader& r, std::size_t n, SetFn set) {
-  const std::uint32_t table_size = r.U32();
-  if (!r.ok()) return;
-  if (table_size > r.remaining() / 4) {
-    r.Fail("symbol table longer than the payload");
-    return;
-  }
-  std::vector<Symbol> table;
-  table.reserve(table_size);
-  for (std::uint32_t i = 0; i < table_size && r.ok(); ++i) {
-    table.push_back(Intern(r.Str()));
-  }
-  std::vector<std::uint32_t> idx;
-  GetPodColumn(r, idx);
-  if (!r.ok()) return;
-  if (idx.size() != n) {
-    r.Fail("symbol column length mismatch");
-    return;
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    if (idx[i] >= table.size()) {
-      r.Fail("symbol index out of range");
-      return;
-    }
-    set(i, table[idx[i]]);
-  }
-}
-
-// --- v2 compacted columns --------------------------------------------
-//
-// The memoized-result section stores its dominant columns (ids, epochs,
-// node lists) as zigzag-varint deltas: consecutive apids ascend, times
-// cluster within a run population, so most deltas fit in 1–2 bytes
-// instead of 8.  Arithmetic is done in uint64 (wraparound
-// well-defined), with C++20 two's-complement casts at the boundaries,
-// so the round trip is exact for every 64-bit value.
-
-class DeltaWriter {
- public:
-  explicit DeltaWriter(SnapshotWriter& w) : w_(w) {}
-  void Add(std::uint64_t v) {
-    w_.VarintSigned(static_cast<std::int64_t>(v - prev_));
-    prev_ = v;
-  }
-  void AddSigned(std::int64_t v) { Add(static_cast<std::uint64_t>(v)); }
-
- private:
-  SnapshotWriter& w_;
-  std::uint64_t prev_ = 0;
-};
-
-class DeltaReader {
- public:
-  explicit DeltaReader(SnapshotReader& r) : r_(r) {}
-  std::uint64_t Next() {
-    prev_ += static_cast<std::uint64_t>(r_.VarintSigned());
-    return prev_;
-  }
-  std::int64_t NextSigned() { return static_cast<std::int64_t>(Next()); }
-
- private:
-  SnapshotReader& r_;
-  std::uint64_t prev_ = 0;
-};
-
-/// Node-list CSR in v2: per-row varint length (the offset delta) + one
-/// varint entry stream.  Returns false (after r.Fail) on inconsistency.
-template <typename Row>
-void PutNodeCsr(SnapshotWriter& w, const std::vector<Row>& rows) {
-  for (const auto& row : rows) w.Varint(row.nodes.size());
-  for (const auto& row : rows) {
-    for (const NodeIndex nid : row.nodes) w.Varint(nid);
-  }
-}
-
-template <typename Row>
-bool GetNodeCsr(SnapshotReader& r, std::vector<Row>& rows, const char* what) {
-  std::vector<std::uint64_t> lengths(rows.size());
-  std::uint64_t total = 0;
-  for (auto& len : lengths) {
-    len = r.Varint();
-    total += len;
-  }
-  if (!r.ok()) return false;
-  // Each entry costs at least one payload byte: a total past the
-  // remaining payload means a malformed length column.
-  if (total > r.remaining()) {
-    r.Fail(std::string(what) + " node CSR is inconsistent");
-    return false;
-  }
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    rows[i].nodes.resize(lengths[i]);
-    for (auto& nid : rows[i].nodes) {
-      nid = static_cast<NodeIndex>(r.Varint());
-    }
-  }
-  return r.ok();
-}
-
 // --- parsed-records section ------------------------------------------
-
-void PutTorque(SnapshotWriter& w, const std::vector<TorqueRecord>& recs) {
-  const std::size_t n = recs.size();
-  w.U64(n);
-  for (const auto& rec : recs) w.U8(static_cast<std::uint8_t>(rec.kind));
-  for (const auto& rec : recs) w.I64(rec.time.unix_seconds());
-  for (const auto& rec : recs) w.U64(rec.jobid);
-  PutSymbolColumn(w, n, [&](std::size_t i) { return recs[i].user; });
-  PutSymbolColumn(w, n, [&](std::size_t i) { return recs[i].queue; });
-  PutSymbolColumn(w, n, [&](std::size_t i) { return recs[i].job_name; });
-  for (const auto& rec : recs) w.I64(rec.submit.unix_seconds());
-  for (const auto& rec : recs) w.I64(rec.start.unix_seconds());
-  for (const auto& rec : recs) w.I64(rec.end.unix_seconds());
-  for (const auto& rec : recs) w.I32(rec.exit_status);
-  for (const auto& rec : recs) w.U32(rec.nodect);
-  for (const auto& rec : recs) w.I64(rec.walltime_limit.seconds());
-  for (const auto& rec : recs) w.I64(rec.walltime_used.seconds());
-}
-
-void GetTorque(SnapshotReader& r, std::vector<TorqueRecord>& recs) {
-  const std::uint64_t n = r.U64();
-  if (!r.ok()) return;
-  if (n > r.remaining()) {  // every record spends well over 1 byte
-    r.Fail("torque column longer than the payload");
-    return;
-  }
-  recs.resize(n);
-  for (auto& rec : recs) rec.kind = static_cast<TorqueRecord::Kind>(r.U8());
-  for (auto& rec : recs) rec.time = TimePoint(r.I64());
-  for (auto& rec : recs) rec.jobid = r.U64();
-  GetSymbolColumn(r, n, [&](std::size_t i, Symbol s) { recs[i].user = s; });
-  GetSymbolColumn(r, n, [&](std::size_t i, Symbol s) { recs[i].queue = s; });
-  GetSymbolColumn(r, n, [&](std::size_t i, Symbol s) { recs[i].job_name = s; });
-  for (auto& rec : recs) rec.submit = TimePoint(r.I64());
-  for (auto& rec : recs) rec.start = TimePoint(r.I64());
-  for (auto& rec : recs) rec.end = TimePoint(r.I64());
-  for (auto& rec : recs) rec.exit_status = r.I32();
-  for (auto& rec : recs) rec.nodect = r.U32();
-  for (auto& rec : recs) rec.walltime_limit = Duration(r.I64());
-  for (auto& rec : recs) rec.walltime_used = Duration(r.I64());
-}
 
 void PutAlps(SnapshotWriter& w, const std::vector<AlpsRecord>& recs) {
   const std::size_t n = recs.size();
@@ -465,8 +94,9 @@ void PutAlps(SnapshotWriter& w, const std::vector<AlpsRecord>& recs) {
   for (const auto& rec : recs) w.I64(rec.time.unix_seconds());
   for (const auto& rec : recs) w.U64(rec.apid);
   for (const auto& rec : recs) w.U64(rec.jobid);
-  PutSymbolColumn(w, n, [&](std::size_t i) { return recs[i].user; });
-  PutSymbolColumn(w, n, [&](std::size_t i) { return recs[i].command; });
+  PutSymbolColumn(w, recs, [](const AlpsRecord& rec) { return rec.user; });
+  PutSymbolColumn(w, recs,
+                  [](const AlpsRecord& rec) { return rec.command; });
   for (const auto& rec : recs) w.U32(rec.nodect);
   // Node placements as CSR: offsets + one packed entry array.
   std::vector<std::uint64_t> offsets;
@@ -487,11 +117,9 @@ void PutAlps(SnapshotWriter& w, const std::vector<AlpsRecord>& recs) {
 
 void GetAlps(SnapshotReader& r, std::vector<AlpsRecord>& recs) {
   const std::uint64_t n = r.U64();
-  if (!r.ok()) return;
-  if (n > r.remaining()) {
-    r.Fail("alps column longer than the payload");
-    return;
-  }
+  // Fixed-width columns, a u32 per symbol, a u64 CSR offset, and the
+  // kill_reason length prefix.
+  if (!r.CheckCount(n, 1 + 3 * 8 + 2 * 4 + 4 + 8 + 4 * 4)) return;
   recs.resize(n);
   for (auto& rec : recs) rec.kind = static_cast<AlpsRecord::Kind>(r.U8());
   for (auto& rec : recs) rec.time = TimePoint(r.I64());
@@ -531,8 +159,7 @@ void PutErrorColumns(SnapshotWriter& w, const ErrorColumns& cols) {
   PutPodColumn(w, cols.severity);
   PutPodColumn(w, cols.scope);
   PutPodColumn(w, cols.source);
-  PutSymbolColumn(w, cols.size(),
-                  [&](std::size_t i) { return cols.location[i]; });
+  PutSymbolColumn(w, cols.location, [](Symbol s) { return s; });
   PutPodColumn(w, cols.recovered_set);
   PutPodColumn(w, cols.recovered);
 }
@@ -573,187 +200,6 @@ void DecodeParsed(SnapshotReader& r, ParsedLogs& parsed) {
 
 // --- memoized-result section -----------------------------------------
 
-// v2 layout: every id/epoch column is a per-column delta stream, node
-// lists are varint CSR, small integers are plain (zigzag) varints.
-// Column order is unchanged from v1 — only the element encoding
-// shrank.
-void PutRuns(SnapshotWriter& w, const std::vector<AppRun>& runs) {
-  const std::size_t n = runs.size();
-  w.Varint(n);
-  {
-    DeltaWriter apid(w);
-    for (const auto& run : runs) apid.Add(run.apid);
-  }
-  {
-    DeltaWriter jobid(w);
-    for (const auto& run : runs) jobid.Add(run.jobid);
-  }
-  PutSymbolColumn(w, n, [&](std::size_t i) { return runs[i].user; });
-  PutSymbolColumn(w, n, [&](std::size_t i) { return runs[i].queue; });
-  for (const auto& run : runs) w.U8(static_cast<std::uint8_t>(run.node_type));
-  PutNodeCsr(w, runs);
-  for (const auto& run : runs) w.Varint(run.nodect);
-  {
-    DeltaWriter start(w);
-    for (const auto& run : runs) start.AddSigned(run.start.unix_seconds());
-  }
-  {
-    DeltaWriter end(w);
-    for (const auto& run : runs) end.AddSigned(run.end.unix_seconds());
-  }
-  for (const auto& run : runs) {
-    std::uint8_t flags = 0;
-    if (run.has_termination) flags |= 1;
-    if (run.killed_node_failure) flags |= 2;
-    w.U8(flags);
-  }
-  for (const auto& run : runs) w.VarintSigned(run.exit_code);
-  for (const auto& run : runs) w.VarintSigned(run.exit_signal);
-  for (const auto& run : runs) w.Varint(run.failed_nid);
-  {
-    DeltaWriter submit(w);
-    for (const auto& run : runs) submit.AddSigned(run.job_submit.unix_seconds());
-  }
-  {
-    DeltaWriter jstart(w);
-    for (const auto& run : runs) jstart.AddSigned(run.job_start.unix_seconds());
-  }
-  for (const auto& run : runs) w.VarintSigned(run.walltime_limit.seconds());
-  for (const auto& run : runs) w.VarintSigned(run.job_exit_status);
-}
-
-void GetRuns(SnapshotReader& r, std::vector<AppRun>& runs) {
-  const std::uint64_t n = r.Varint();
-  if (!r.ok()) return;
-  if (n > r.remaining()) {  // every run spends well over 1 byte
-    r.Fail("run column longer than the payload");
-    return;
-  }
-  runs.resize(n);
-  {
-    DeltaReader apid(r);
-    for (auto& run : runs) run.apid = apid.Next();
-  }
-  {
-    DeltaReader jobid(r);
-    for (auto& run : runs) run.jobid = jobid.Next();
-  }
-  GetSymbolColumn(r, n, [&](std::size_t i, Symbol s) { runs[i].user = s; });
-  GetSymbolColumn(r, n, [&](std::size_t i, Symbol s) { runs[i].queue = s; });
-  for (auto& run : runs) run.node_type = static_cast<NodeType>(r.U8());
-  if (!GetNodeCsr(r, runs, "run")) return;
-  for (auto& run : runs) run.nodect = static_cast<std::uint32_t>(r.Varint());
-  {
-    DeltaReader start(r);
-    for (auto& run : runs) run.start = TimePoint(start.NextSigned());
-  }
-  {
-    DeltaReader end(r);
-    for (auto& run : runs) run.end = TimePoint(end.NextSigned());
-  }
-  for (auto& run : runs) {
-    const std::uint8_t flags = r.U8();
-    run.has_termination = (flags & 1) != 0;
-    run.killed_node_failure = (flags & 2) != 0;
-  }
-  for (auto& run : runs) run.exit_code = static_cast<int>(r.VarintSigned());
-  for (auto& run : runs) run.exit_signal = static_cast<int>(r.VarintSigned());
-  for (auto& run : runs) run.failed_nid = static_cast<NodeIndex>(r.Varint());
-  {
-    DeltaReader submit(r);
-    for (auto& run : runs) run.job_submit = TimePoint(submit.NextSigned());
-  }
-  {
-    DeltaReader jstart(r);
-    for (auto& run : runs) run.job_start = TimePoint(jstart.NextSigned());
-  }
-  for (auto& run : runs) run.walltime_limit = Duration(r.VarintSigned());
-  for (auto& run : runs) {
-    run.job_exit_status = static_cast<int>(r.VarintSigned());
-  }
-}
-
-void PutTuples(SnapshotWriter& w, const std::vector<ErrorTuple>& tuples) {
-  const std::size_t n = tuples.size();
-  w.Varint(n);
-  {
-    DeltaWriter id(w);
-    for (const auto& t : tuples) id.Add(t.id);
-  }
-  for (const auto& t : tuples) w.U8(static_cast<std::uint8_t>(t.category));
-  for (const auto& t : tuples) w.U8(static_cast<std::uint8_t>(t.severity));
-  for (const auto& t : tuples) w.U8(static_cast<std::uint8_t>(t.scope));
-  PutSymbolColumn(w, n, [&](std::size_t i) { return tuples[i].location; });
-  PutNodeCsr(w, tuples);
-  {
-    DeltaWriter first(w);
-    for (const auto& t : tuples) first.AddSigned(t.first.unix_seconds());
-  }
-  {
-    DeltaWriter last(w);
-    for (const auto& t : tuples) last.AddSigned(t.last.unix_seconds());
-  }
-  for (const auto& t : tuples) w.U8(t.recovered.has_value() ? 1 : 0);
-  {
-    // Sparse column: only set recovery times are written, as deltas.
-    DeltaWriter recovered(w);
-    for (const auto& t : tuples) {
-      if (t.recovered) recovered.AddSigned(t.recovered->unix_seconds());
-    }
-  }
-  for (const auto& t : tuples) w.Varint(t.count);
-  for (const auto& t : tuples) {
-    std::uint8_t flags = 0;
-    if (t.from_syslog) flags |= 1;
-    if (t.from_hwerr) flags |= 2;
-    w.U8(flags);
-  }
-}
-
-void GetTuples(SnapshotReader& r, std::vector<ErrorTuple>& tuples) {
-  const std::uint64_t n = r.Varint();
-  if (!r.ok()) return;
-  if (n > r.remaining()) {
-    r.Fail("tuple column longer than the payload");
-    return;
-  }
-  tuples.resize(n);
-  {
-    DeltaReader id(r);
-    for (auto& t : tuples) t.id = id.Next();
-  }
-  for (auto& t : tuples) t.category = static_cast<ErrorCategory>(r.U8());
-  for (auto& t : tuples) t.severity = static_cast<Severity>(r.U8());
-  for (auto& t : tuples) t.scope = static_cast<LocScope>(r.U8());
-  GetSymbolColumn(r, n,
-                  [&](std::size_t i, Symbol s) { tuples[i].location = s; });
-  if (!GetNodeCsr(r, tuples, "tuple")) return;
-  {
-    DeltaReader first(r);
-    for (auto& t : tuples) t.first = TimePoint(first.NextSigned());
-  }
-  {
-    DeltaReader last(r);
-    for (auto& t : tuples) t.last = TimePoint(last.NextSigned());
-  }
-  std::vector<std::uint8_t> recovered_set(n);
-  for (auto& set : recovered_set) set = r.U8();
-  {
-    DeltaReader recovered(r);
-    for (std::size_t i = 0; i < n; ++i) {
-      if (recovered_set[i] != 0) {
-        tuples[i].recovered = TimePoint(recovered.NextSigned());
-      }
-    }
-  }
-  for (auto& t : tuples) t.count = static_cast<std::uint32_t>(r.Varint());
-  for (auto& t : tuples) {
-    const std::uint8_t flags = r.U8();
-    t.from_syslog = (flags & 1) != 0;
-    t.from_hwerr = (flags & 2) != 0;
-  }
-}
-
 void PutClassified(SnapshotWriter& w, const std::vector<ClassifiedRun>& cls) {
   w.U64(cls.size());
   for (const auto& c : cls) w.U32(c.run_index);
@@ -764,11 +210,7 @@ void PutClassified(SnapshotWriter& w, const std::vector<ClassifiedRun>& cls) {
 
 void GetClassified(SnapshotReader& r, std::vector<ClassifiedRun>& cls) {
   const std::uint64_t n = r.U64();
-  if (!r.ok()) return;
-  if (n > r.remaining()) {
-    r.Fail("classified column longer than the payload");
-    return;
-  }
+  if (!r.CheckCount(n, 4 + 1 + 1 + 8)) return;
   cls.resize(n);
   for (auto& c : cls) c.run_index = r.U32();
   for (auto& c : cls) c.outcome = static_cast<AppOutcome>(r.U8());
@@ -821,11 +263,7 @@ void DecodeResult(SnapshotReader& r, AnalysisResult& result) {
   result.coalesce_stats.unresolved_locations = r.U64();
   LoadIngestStats(r, result.ingest);
   const std::uint64_t quarantined = r.U64();
-  if (!r.ok()) return;
-  if (quarantined > r.remaining()) {
-    r.Fail("quarantine column longer than the payload");
-    return;
-  }
+  if (!r.CheckCount(quarantined, kQuarantineEntryMinBytes)) return;
   result.quarantine.resize(quarantined);
   for (auto& entry : result.quarantine) LoadQuarantineEntry(r, entry);
   GetRuns(r, result.runs);
@@ -997,9 +435,11 @@ Result<LoadedEntry> BundleCache::Load(const CacheKeys& keys) const {
                   "bundle cache: " + why.message() + " — entry rejected, "
                   "falling back to the text parse");
   };
-  auto entry = OpenEntry(path, keys.input_fingerprint);
+  auto entry =
+      OpenFramedFile(path, kBundleCacheFile, keys.input_fingerprint);
   if (!entry.ok()) return reject(entry.status());
-  SnapshotReader head(entry->payload, entry->size);
+  const std::span<const std::uint8_t> payload = entry->payload;
+  SnapshotReader head(payload);
   const std::uint8_t kind = head.U8();
   if (head.ok() && kind != kKindBundle) {
     head.Fail("entry kind " + std::to_string(kind) + " is not a bundle");
@@ -1016,10 +456,9 @@ Result<LoadedEntry> BundleCache::Load(const CacheKeys& keys) const {
 
   // head has consumed kind + parse_key + records_len: the records
   // section starts right here, the result section right after it.
-  constexpr std::size_t kPrefix = 1 + 8 + 8;
-  SnapshotReader records(entry->payload + kPrefix, records_len);
-  SnapshotReader tail(entry->payload + kPrefix + records_len,
-                      entry->size - kPrefix - records_len);
+  const std::size_t records_at = payload.size() - head.remaining();
+  SnapshotReader records(payload.subspan(records_at, records_len));
+  SnapshotReader tail(payload.subspan(records_at + records_len));
 
   LoadedEntry out;
   const bool has_result = tail.Bool();
@@ -1061,16 +500,19 @@ std::vector<std::uint8_t> BundleCache::EncodeParsed(const ParsedLogs& parsed) {
 Status BundleCache::Store(const CacheKeys& keys,
                           const std::vector<std::uint8_t>& parsed_bytes,
                           const AnalysisResult& result) const {
-  SnapshotWriter w;
-  w.U8(kKindBundle);
-  w.U64(keys.parse_key);
-  w.U64(parsed_bytes.size());
-  w.Raw(parsed_bytes.data(), parsed_bytes.size());
-  w.Bool(true);
-  w.U64(keys.analysis_key);
-  EncodeResult(w, result);
+  // Three payload parts written in place: the records section is the
+  // caller's buffer, never copied into the entry.
+  SnapshotWriter head;
+  head.U8(kKindBundle);
+  head.U64(keys.parse_key);
+  head.U64(parsed_bytes.size());
+  SnapshotWriter tail;
+  tail.Bool(true);
+  tail.U64(keys.analysis_key);
+  EncodeResult(tail, result);
   LD_TRY(WriteEntry(dir_, BundlePath(keys.input_fingerprint),
-                    keys.input_fingerprint, std::move(w)));
+                    keys.input_fingerprint,
+                    {head.bytes(), parsed_bytes, tail.bytes()}));
   EnforceCap();
   return Status::Ok();
 }
@@ -1089,9 +531,9 @@ Result<ClaimedColumns> BundleCache::LoadClaims(
                   "bundle cache: " + why.message() + " — claims entry "
                   "rejected, reparsing claimed times");
   };
-  auto entry = OpenEntry(path, input_fingerprint);
+  auto entry = OpenFramedFile(path, kBundleCacheFile, input_fingerprint);
   if (!entry.ok()) return reject(entry.status());
-  SnapshotReader r(entry->payload, entry->size);
+  SnapshotReader r(entry->payload);
   const std::uint8_t kind = r.U8();
   if (r.ok() && kind != kKindClaims) {
     r.Fail("entry kind " + std::to_string(kind) + " is not a claims entry");
@@ -1133,7 +575,7 @@ Status BundleCache::StoreClaims(std::uint64_t input_fingerprint,
     PutPodColumn(w, seconds);
   }
   LD_TRY(WriteEntry(dir_, ClaimsPath(input_fingerprint), input_fingerprint,
-                    std::move(w)));
+                    {w.bytes()}));
   EnforceCap();
   return Status::Ok();
 }

@@ -1,5 +1,5 @@
 // The parsed-bundle cache: a versioned, CRC-checksummed binary columnar
-// intermediate format keyed by the FNV-1a-64 bundle fingerprint, so
+// intermediate format keyed by the bundle's LinesFingerprint, so
 // re-analysis of an already-seen bundle skips text parsing entirely.
 //
 // Two entry kinds live in one cache directory (conventionally next to
@@ -26,10 +26,11 @@
 // tests/logdiver/bundle_cache_test.cpp hold the two paths to
 // FingerprintReport identity.
 //
-// Writes reuse the snapshot store's atomicity discipline: pid-qualified
-// tmp file, fsync, rename.  Concurrent writers of the same entry are
-// safe (last rename wins, both files valid); readers memory-map and
-// validate before decoding a single field.
+// Entries are framed files of their own kind (kBundleCacheFile) written
+// and read through snapshot.hpp's one codec: pid-qualified tmp file,
+// fsync, rename.  Concurrent writers of the same entry are safe (last
+// rename wins, both files valid); readers memory-map and validate
+// before decoding a single field.
 #pragma once
 
 #include <array>
@@ -41,6 +42,7 @@
 #include "common/status.hpp"
 #include "common/time.hpp"
 #include "logdiver/logdiver.hpp"
+#include "logdiver/snapshot.hpp"
 
 namespace ld::cache {
 
@@ -52,14 +54,23 @@ namespace ld::cache {
 /// cache v2").  v1 entries are rejected as stale — loudly, with the
 /// text-parse fallback — and rewritten in v2 on the next store.
 inline constexpr std::uint32_t kBundleCacheVersion = 2;
+/// The entry file kind: magic "LDPBCHE1", deliberately distinct from
+/// the snapshot magic — a checkpoint copied into a cache directory (or
+/// vice versa) must fail the very first header check.
+inline constexpr FramedKind kBundleCacheFile{
+    {'L', 'D', 'P', 'B', 'C', 'H', 'E', '1'}, kBundleCacheVersion};
 
-/// FNV-1a-64 (word-folded over line content for speed; bytewise
-/// framing) over the four line streams, with the framing
+/// An FNV-style 64-bit hash (word-folded over line content for speed;
+/// bytewise framing) over the four line streams, with the framing
 /// resume.cpp's BundlePartitionFingerprint delegates to (per-source
 /// tag byte, line bytes + '\n', trailing shard-count mix, 0 remapped
 /// to 1) — computed from lines already in memory instead of
 /// re-reading the files, so the batch, streaming and fleet paths
-/// agree on a bundle's identity.
+/// agree on a bundle's identity.  Not FNV-1a-64: its offset basis is
+/// 1469598103934665603, one digit short of FNV's 14695981039346656037.
+/// The values are persisted (snapshot/partial headers, cache file
+/// names), so the constant stays as it is; bundle_cache_test pins
+/// literal values.
 std::uint64_t LinesFingerprint(const LogSetView& lines,
                                std::uint32_t shard_count);
 

@@ -327,7 +327,9 @@ void StreamingCoalescer::SaveState(SnapshotWriter& w) const {
   w.U64(next_id_);
   // The open map is unordered and its keys embed nondeterministic
   // symbol ids; serialize in (category, location string) order so the
-  // snapshot bytes are a pure function of the analyzed stream.
+  // snapshot bytes are a pure function of the analyzed stream.  The
+  // keys themselves are not written: each open tuple carries its own
+  // (category, location).
   std::vector<const ErrorTuple*> open_sorted;
   open_sorted.reserve(open_.size());
   for (const auto& [key, tuple] : open_) open_sorted.push_back(&tuple);
@@ -336,14 +338,8 @@ void StreamingCoalescer::SaveState(SnapshotWriter& w) const {
               if (a->category != b->category) return a->category < b->category;
               return a->location.view() < b->location.view();
             });
-  w.U32(static_cast<std::uint32_t>(open_sorted.size()));
-  for (const ErrorTuple* tuple : open_sorted) {
-    w.I32(static_cast<std::int32_t>(tuple->category));
-    w.Str(tuple->location.view());
-    SaveErrorTuple(w, *tuple);
-  }
-  w.U32(static_cast<std::uint32_t>(closed_.size()));
-  for (const ErrorTuple& tuple : closed_) SaveErrorTuple(w, tuple);
+  PutTuples(w, open_sorted);
+  PutTuples(w, closed_);
 }
 
 void StreamingCoalescer::LoadState(SnapshotReader& r) {
@@ -351,29 +347,18 @@ void StreamingCoalescer::LoadState(SnapshotReader& r) {
   stats_.tuples = r.U64();
   stats_.unresolved_locations = r.U64();
   next_id_ = r.U64();
+  std::vector<ErrorTuple> open;
+  GetTuples(r, open);
   open_.clear();
-  const std::uint32_t open_count = r.U32();
-  // Each open entry: category, location length prefix, then the tuple.
-  if (r.CheckCount(open_count, 8 + kErrorTupleMinBytes)) {
-    open_.reserve(std::max<std::uint32_t>(open_count, 256));
-  }
-  for (std::uint32_t i = 0; i < open_count && r.ok(); ++i) {
-    const auto cat = static_cast<ErrorCategory>(r.I32());
-    const Symbol location = Intern(r.Str());
-    ErrorTuple tuple;
-    LoadErrorTuple(r, tuple);
-    open_.emplace(OpenKey(cat, location), std::move(tuple));
+  open_.reserve(std::max<std::size_t>(open.size(), 256));
+  for (ErrorTuple& tuple : open) {
+    const std::uint64_t key = OpenKey(tuple.category, tuple.location);
+    if (!open_.emplace(key, std::move(tuple)).second) {
+      r.Fail("two open tuples share one (category, location) key");
+    }
   }
   closed_.clear();
-  const std::uint32_t closed_count = r.U32();
-  if (r.CheckCount(closed_count, kErrorTupleMinBytes)) {
-    closed_.reserve(closed_count);
-  }
-  for (std::uint32_t i = 0; i < closed_count && r.ok(); ++i) {
-    ErrorTuple tuple;
-    LoadErrorTuple(r, tuple);
-    closed_.push_back(std::move(tuple));
-  }
+  GetTuples(r, closed_);
 }
 
 std::vector<ErrorTuple> CoalesceEvents(

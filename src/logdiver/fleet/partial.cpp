@@ -27,7 +27,7 @@ void SavePartialAggregates(SnapshotWriter& w, const PartialAggregates& p) {
 }
 
 Result<PartialAggregates> LoadPartialAggregates(
-    const std::vector<std::uint8_t>& payload,
+    std::span<const std::uint8_t> payload,
     const MetricsConfig& metrics_config) {
   SnapshotReader r(payload);
   PartialAggregates p(metrics_config);
@@ -73,12 +73,11 @@ Status WritePartialFile(const std::string& path, const PartialAggregates& p) {
 
 Result<PartialAggregates> ReadPartialFile(
     const std::string& path, const MetricsConfig& metrics_config) {
-  std::uint64_t file_fingerprint = 0;
-  LD_ASSIGN_OR_RETURN(const std::vector<std::uint8_t> payload,
-                      ReadSnapshotFile(path, &file_fingerprint));
+  LD_ASSIGN_OR_RETURN(const FramedFile file,
+                      OpenFramedFile(path, kSnapshotFile));
   LD_ASSIGN_OR_RETURN(PartialAggregates p,
-                      LoadPartialAggregates(payload, metrics_config));
-  if (file_fingerprint != p.header.fingerprint) {
+                      LoadPartialAggregates(file.payload, metrics_config));
+  if (file.fingerprint != p.header.fingerprint) {
     return ParseError("partial " + path +
                       ": file-header fingerprint disagrees with the payload "
                       "header");

@@ -76,7 +76,7 @@ void SavePartialAggregates(SnapshotWriter& w, const PartialAggregates& p);
 /// Parses a partial payload.  `metrics_config` must match the config
 /// the worker ran with (scale-bucket geometry is construction-time).
 Result<PartialAggregates> LoadPartialAggregates(
-    const std::vector<std::uint8_t>& payload,
+    std::span<const std::uint8_t> payload,
     const MetricsConfig& metrics_config);
 
 /// Writes `p` to `path` with the snapshot file framing, stamping

@@ -1,8 +1,6 @@
 #include "logdiver/fleet/supervisor.hpp"
 
-#include <signal.h>
 #include <sys/stat.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -11,6 +9,7 @@
 #include <filesystem>
 #include <optional>
 
+#include "common/child_process.hpp"
 #include "common/crashpoint.hpp"
 #include "common/obs/obs.hpp"
 #include "common/rng.hpp"
@@ -20,7 +19,7 @@ namespace ld::fleet {
 namespace {
 
 namespace fs = std::filesystem;
-using Clock = std::chrono::steady_clock;
+using Clock = ChildClock;
 
 std::string PartialPathFor(const FleetOptions& options, std::uint32_t shard) {
   char name[64];
@@ -121,9 +120,7 @@ struct ShardState {
 void KillRunning(std::vector<ShardState>& shards) {
   for (ShardState& s : shards) {
     if (s.phase == ShardState::Phase::kRunning && s.pid > 0) {
-      ::kill(s.pid, SIGKILL);
-      int status = 0;
-      ::waitpid(s.pid, &status, 0);
+      KillChild(s.pid);
       s.pid = -1;
     }
   }
@@ -268,24 +265,20 @@ Result<FleetSummary> ShardSupervisor::Run(const StreamInputs& inputs,
           (s.phase == ShardState::Phase::kBackoff && now >= s.retry_at);
       if (!launchable) continue;
       const int attempt = s.out.attempts++;
-      std::fflush(nullptr);
-      const pid_t pid = ::fork();
-      if (pid < 0) {
+      const auto pid = SpawnChild([&, attempt, shard = s.out.shard_index] {
+        return RunWorkerProcess(machine_, config_, inputs, options,
+                                fingerprint, shard, attempt);
+      });
+      if (!pid.ok()) {
         // Abort through abort_status (not an early return) so the
         // KillRunning path below reaps every already-launched worker —
         // an error exit must never leave zombies behind.
-        abort_status = InternalError("fleet: fork failed for shard " +
-                                     std::to_string(s.out.shard_index));
+        abort_status = InternalError("fleet: shard " +
+                                     std::to_string(s.out.shard_index) +
+                                     ": " + pid.status().message());
         break;
       }
-      if (pid == 0) {
-        const int rc = RunWorkerProcess(machine_, config_, inputs, options,
-                                        fingerprint, s.out.shard_index,
-                                        attempt);
-        std::fflush(nullptr);
-        std::_Exit(rc);
-      }
-      s.pid = pid;
+      s.pid = *pid;
       s.deadline =
           Clock::now() + std::chrono::milliseconds(options.shard_timeout_ms);
       s.phase = ShardState::Phase::kRunning;
@@ -299,46 +292,30 @@ Result<FleetSummary> ShardSupervisor::Run(const StreamInputs& inputs,
         all_resolved = false;
       }
       if (s.phase != ShardState::Phase::kRunning) continue;
-      int status = 0;
-      const pid_t r = ::waitpid(s.pid, &status, WNOHANG);
-      if (r < 0) {
-        abort_status = InternalError("fleet: waitpid failed for shard " +
-                                     std::to_string(s.out.shard_index));
+      const auto exit = PollChild(s.pid, s.deadline);
+      if (!exit.ok()) {
+        abort_status = InternalError("fleet: shard " +
+                                     std::to_string(s.out.shard_index) +
+                                     ": " + exit.status().message());
         break;
       }
-      bool hung = false;
-      if (r == 0) {
-        if (Clock::now() < s.deadline) continue;
-        // Hung: kill, reap, handle as a crash.
-        ::kill(s.pid, SIGKILL);
-        if (::waitpid(s.pid, &status, 0) < 0) {
-          abort_status = InternalError("fleet: waitpid after SIGKILL failed");
-          break;
-        }
-        hung = true;
+      if (!exit->has_value()) continue;
+      s.pid = -1;
+      const ChildExit& ended = **exit;
+      if (ended.hung) {
         ++s.out.hangs_killed;
         LD_OBS_COUNTER_ADD(obs::names::kFleetWorkerHangsKilledTotal, 1);
       }
-      s.pid = -1;
-      bool crashed = hung;
-      int code = 0;
-      if (WIFSIGNALED(status)) {
-        crashed = true;
-        code = 128 + WTERMSIG(status);
-      } else {
-        code = WEXITSTATUS(status);
-        crashed = crashed || code >= 128;
-      }
-      if (crashed) {
+      if (ended.crashed()) {
         ++s.out.crashes;
         LD_OBS_COUNTER_ADD(obs::names::kFleetWorkerCrashesTotal, 1);
         retry_or_drop(s);
-      } else if (code != 0) {
+      } else if (ended.code != 0) {
         // Ordinary failure: the child's error (ingest budget, bad
         // input) passes through; retrying cannot fix it.
         abort_status = FailedPreconditionError(
             "fleet: shard " + std::to_string(s.out.shard_index) +
-            " failed ordinarily (exit " + std::to_string(code) +
+            " failed ordinarily (exit " + std::to_string(ended.code) +
             "); see its stderr");
         break;
       } else if (validate_partial(s)) {

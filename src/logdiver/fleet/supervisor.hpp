@@ -16,9 +16,10 @@
 // The loop is hardened end-to-end, following the detection /
 // containment / recovery layering of the resilience design patterns
 // literature:
-//   * detection — waitpid status decoding (crash vs. ordinary failure),
-//     per-shard wall-clock deadlines, CRC + fingerprint + shard-id
-//     validation of every partial before it may merge;
+//   * detection — child exit classification (crash vs. ordinary
+//     failure, common/child_process.hpp), per-shard wall-clock
+//     deadlines, CRC + fingerprint + shard-id validation of every
+//     partial before it may merge;
 //   * containment — workers are separate processes; a fault costs one
 //     shard attempt, never the fleet;
 //   * recovery — bounded retries with exponential backoff + jitter

@@ -103,7 +103,9 @@ void QuarantineSink::SaveState(SnapshotWriter& w) const {
 void QuarantineSink::LoadState(SnapshotReader& r) {
   const std::uint32_t entries = r.U32();
   entries_.clear();
-  if (r.ok()) entries_.reserve(entries);
+  if (r.CheckCount(entries, kQuarantineEntryMinBytes)) {
+    entries_.reserve(entries);
+  }
   for (std::uint32_t i = 0; i < entries && r.ok(); ++i) {
     QuarantineEntry entry;
     LoadQuarantineEntry(r, entry);

@@ -1,14 +1,10 @@
 #include "logdiver/resume.hpp"
 
-#include <signal.h>
-#include <sys/wait.h>
-#include <unistd.h>
-
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <vector>
 
+#include "common/child_process.hpp"
 #include "common/crashpoint.hpp"
 #include "common/obs/obs.hpp"
 #include "logdiver/cache/bundle_cache.hpp"
@@ -67,15 +63,36 @@ std::vector<TimePoint> ClaimedTimes(const std::vector<std::string>& lines,
   return times;
 }
 
+/// LinesFingerprint over the four sources' lines as read from disk.
+std::uint64_t FingerprintLines(
+    const std::vector<std::string> (&lines)[kNumLogSources],
+    std::uint32_t shard_count) {
+  LogSetView views;
+  std::vector<std::string_view>* view_cols[kNumLogSources] = {
+      &views.torque, &views.alps, &views.syslog, &views.hwerr};
+  for (std::size_t s = 0; s < kNumLogSources; ++s) {
+    view_cols[s]->assign(lines[s].begin(), lines[s].end());
+  }
+  return cache::LinesFingerprint(views, shard_count);
+}
+
 /// The four sources of a bundle, loaded into memory with their per-line
 /// claimed times — everything the deterministic merge loop needs.
 struct LoadedBundle {
   std::vector<std::string> lines[kNumLogSources];
   std::vector<TimePoint> claimed[kNumLogSources];
+  /// LinesFingerprint(lines, 0); computed only when the caller asks for
+  /// it or the claims cache needs it (0 otherwise).
+  std::uint64_t fingerprint = 0;
 };
 
+/// Reads the bundle once.  `want_fingerprint` hashes the lines already
+/// in memory (the claims cache hashes them anyway); fleet workers, who
+/// get their fingerprint from the supervisor, pass false and, without a
+/// cache directory, pay no hash pass.
 Result<LoadedBundle> LoadBundle(const StreamInputs& inputs,
                                 const LogDiverConfig& config,
+                                bool want_fingerprint,
                                 BundleLoadStats* stats = nullptr) {
   BundleLoadStats local_stats;
   if (stats == nullptr) stats = &local_stats;
@@ -87,6 +104,9 @@ Result<LoadedBundle> LoadBundle(const StreamInputs& inputs,
     LD_ASSIGN_OR_RETURN(bundle.lines[s], ReadLines(*paths[s]));
   }
   const int base_year = config.syslog_base_year;
+  if (want_fingerprint || !config.bundle_cache_dir.empty()) {
+    bundle.fingerprint = FingerprintLines(bundle.lines, 0);
+  }
   if (config.bundle_cache_dir.empty()) {
     for (std::size_t s = 0; s < kNumLogSources; ++s) {
       bundle.claimed[s] = ClaimedTimes(bundle.lines[s],
@@ -101,15 +121,11 @@ Result<LoadedBundle> LoadBundle(const StreamInputs& inputs,
   // partition-independent), so every fleet worker shares one entry.
   const cache::BundleCache bundle_cache(config.bundle_cache_dir,
                                         config.bundle_cache_max_bytes);
-  LogSetView views;
-  std::vector<std::string_view>* view_cols[kNumLogSources] = {
-      &views.torque, &views.alps, &views.syslog, &views.hwerr};
   std::array<std::size_t, kNumLogSources> line_counts{};
   for (std::size_t s = 0; s < kNumLogSources; ++s) {
-    view_cols[s]->assign(bundle.lines[s].begin(), bundle.lines[s].end());
     line_counts[s] = bundle.lines[s].size();
   }
-  const std::uint64_t fingerprint = cache::LinesFingerprint(views, 0);
+  const std::uint64_t fingerprint = bundle.fingerprint;
   auto claims = bundle_cache.LoadClaims(fingerprint, base_year, line_counts);
   if (claims.ok()) {
     ++stats->cache_hits;
@@ -196,14 +212,10 @@ Result<std::uint64_t> BundlePartitionFingerprint(const StreamInputs& inputs,
       &inputs.torque_path, &inputs.alps_path, &inputs.syslog_path,
       &inputs.hwerr_path};
   std::vector<std::string> lines[kNumLogSources];
-  LogSetView views;
-  std::vector<std::string_view>* view_cols[kNumLogSources] = {
-      &views.torque, &views.alps, &views.syslog, &views.hwerr};
   for (std::size_t s = 0; s < kNumLogSources; ++s) {
     LD_ASSIGN_OR_RETURN(lines[s], ReadLines(*paths[s]));
-    view_cols[s]->assign(lines[s].begin(), lines[s].end());
   }
-  return cache::LinesFingerprint(views, shard_count);
+  return FingerprintLines(lines, shard_count);
 }
 
 Result<std::uint64_t> ReplayBundle(const LogDiverConfig& config,
@@ -211,8 +223,9 @@ Result<std::uint64_t> ReplayBundle(const LogDiverConfig& config,
                                    const ReplaySchedule& schedule,
                                    StreamingAnalyzer& analyzer,
                                    BundleLoadStats* load_stats) {
-  LD_ASSIGN_OR_RETURN(const LoadedBundle bundle,
-                      LoadBundle(inputs, config, load_stats));
+  LD_ASSIGN_OR_RETURN(
+      const LoadedBundle bundle,
+      LoadBundle(inputs, config, /*want_fingerprint=*/false, load_stats));
   std::uint64_t heads[kNumLogSources] = {0, 0, 0, 0};
   std::uint64_t total = 0;
   Status status;
@@ -226,11 +239,8 @@ Result<ResumableSummary> RunResumableAnalysis(const Machine& machine,
                                               const StreamInputs& inputs,
                                               const ResumeOptions& options) {
   LD_ASSIGN_OR_RETURN(const LoadedBundle bundle,
-                      LoadBundle(inputs, config));
-  const std::vector<std::string>* files[kNumLogSources] = {
-      &bundle.lines[0], &bundle.lines[1], &bundle.lines[2], &bundle.lines[3]};
-  LD_ASSIGN_OR_RETURN(const std::uint64_t fingerprint,
-                      BundlePartitionFingerprint(inputs, 0));
+                      LoadBundle(inputs, config, /*want_fingerprint=*/true));
+  const std::uint64_t fingerprint = bundle.fingerprint;
 
   StreamingAnalyzer analyzer(machine, config);
   ResumableSummary out;
@@ -247,7 +257,7 @@ Result<ResumableSummary> RunResumableAnalysis(const Machine& machine,
     auto loaded = store.LoadLatest(fingerprint);
     if (loaded.ok()) {
       out.snapshots_rejected = loaded->rejected;
-      SnapshotReader r(loaded->payload);
+      SnapshotReader r(loaded->file.payload);
       const std::uint32_t version = r.U32();
       if (!r.ok()) return r.status();
       if (version != kResumeStateVersion) {
@@ -258,7 +268,7 @@ Result<ResumableSummary> RunResumableAnalysis(const Machine& machine,
       for (std::uint64_t& head : heads) head = r.U64();
       LD_TRY(analyzer.Restore(r));
       for (std::size_t s = 0; s < kNumLogSources; ++s) {
-        if (heads[s] > files[s]->size()) {
+        if (heads[s] > bundle.lines[s].size()) {
           return FailedPreconditionError(
               "snapshot records an offset past the end of " +
               std::string(LogSourceName(static_cast<LogSource>(s))) +
@@ -312,69 +322,28 @@ CrashSupervisor::Outcome CrashSupervisor::Run(
   Outcome out;
   for (int attempt = 0;; ++attempt) {
     out.attempts = attempt + 1;
-    // Flush so the child does not replay the parent's buffered output
-    // when it exits.
-    std::fflush(nullptr);
-    const pid_t pid = fork();
-    if (pid < 0) {
+    const auto pid = SpawnChild([&child, attempt] { return child(attempt); });
+    if (!pid.ok()) {
       out.exit_code = -1;
       return out;
     }
-    if (pid == 0) {
-      const int rc = child(attempt);
-      std::fflush(nullptr);
-      std::_Exit(rc);
-    }
-    int status = 0;
-    bool hung = false;
-    if (options.timeout_ms == 0) {
-      if (waitpid(pid, &status, 0) < 0) {
-        out.exit_code = -1;
-        return out;
-      }
-    } else {
-      // Poll with a wall-clock deadline: a child that stops making
-      // progress (deadlock, injected hang) is escalated to SIGKILL and
-      // handled as a crash — it cannot hang the supervisor forever.
-      const auto deadline = std::chrono::steady_clock::now() +
-                            std::chrono::milliseconds(options.timeout_ms);
-      for (;;) {
-        const pid_t r = waitpid(pid, &status, WNOHANG);
-        if (r == pid) break;
-        if (r < 0) {
-          out.exit_code = -1;
-          return out;
-        }
-        if (std::chrono::steady_clock::now() >= deadline) {
-          ::kill(pid, SIGKILL);
-          if (waitpid(pid, &status, 0) < 0) {
-            out.exit_code = -1;
-            return out;
-          }
-          hung = true;
-          break;
-        }
-        ::usleep(2000);
-      }
-    }
-    if (hung) ++out.hangs_killed;
-    bool crashed = false;
-    int code = 0;
-    if (WIFSIGNALED(status)) {
-      crashed = true;
-      code = 128 + WTERMSIG(status);
-    } else {
-      code = WEXITSTATUS(status);
-      crashed = code >= 128;  // injected crashes exit with 128+signal
-    }
-    if (!crashed) {
-      out.exit_code = code;
+    // A timeout escalates a child that stops making progress (deadlock,
+    // injected hang) to SIGKILL, handled as a crash — it cannot hang the
+    // supervisor forever.
+    const auto exit = WaitChild(
+        *pid, options.timeout_ms == 0
+                  ? kNoDeadline
+                  : ChildClock::now() +
+                        std::chrono::milliseconds(options.timeout_ms));
+    if (!exit.ok()) {
+      out.exit_code = -1;
       return out;
     }
-    ++out.crashes;
-    if (out.crashes > options.max_restarts) {
+    out.exit_code = exit->code;
+    if (exit->hung) ++out.hangs_killed;
+    if (!exit->crashed()) return out;
+    if (++out.crashes > options.max_restarts) {
       out.exhausted = true;
-      out.exit_code = code;
       return out;
     }
   }

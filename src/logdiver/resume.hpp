@@ -13,10 +13,11 @@
 // to an uninterrupted one — bench/crash_campaign asserts this across a
 // kill-point × snapshot-interval sweep.
 //
-// CrashSupervisor is the process-level loop: it runs an analysis
-// attempt in a forked child, distinguishes a crash (signal, or an exit
-// code >= 128 such as the injected kCrashExitCode) from an ordinary
-// failure, and restarts crashed attempts up to a budget.  Ordinary
+// CrashSupervisor is the process-level loop over common/child_process:
+// it runs an analysis attempt in a forked child, distinguishes a crash
+// (signal, or an exit code >= 128 such as the injected kCrashExitCode)
+// from an ordinary failure, and restarts crashed attempts up to a
+// budget.  Ordinary
 // failures pass through — a tripped ingest error budget must not be
 // retried into an infinite loop.
 #pragma once
@@ -129,7 +130,8 @@ Result<std::uint64_t> ReplayBundle(const LogDiverConfig& config,
                                    BundleLoadStats* load_stats = nullptr);
 
 /// Deterministic fingerprint of (bundle bytes, shard partition):
-/// delegates to bundle_cache's LinesFingerprint (word-folded FNV-1a-64)
+/// delegates to bundle_cache's LinesFingerprint (a word-folded FNV-style
+/// hash with its own offset basis — not FNV-1a-64, see bundle_cache.hpp)
 /// over every source's raw lines, mixed with `shard_count`.  This is
 /// the id stamped into snapshot/partial headers so a loader can tell
 /// "same bundle, same partition" from "stale directory or foreign

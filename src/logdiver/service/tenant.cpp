@@ -116,7 +116,7 @@ Status TenantShard::Start(std::uint64_t* recovered_lines) {
   std::uint64_t replay_from = 0;
   auto loaded = store_.LoadLatest(fingerprint);
   if (loaded.ok()) {
-    SnapshotReader r(loaded->payload);
+    SnapshotReader r(loaded->file.payload);
     const std::uint32_t version = r.U32();
     if (!r.ok()) return r.status();
     if (version != kTenantSnapshotVersion) {

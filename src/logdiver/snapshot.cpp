@@ -9,9 +9,11 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <system_error>
 
 #include "common/obs/obs.hpp"
+#include "logdiver/block_reader.hpp"
 #include "logdiver/coalesce.hpp"
 #include "logdiver/metrics.hpp"
 #include "logdiver/quarantine.hpp"
@@ -22,14 +24,6 @@ namespace ld {
 namespace {
 
 namespace fs = std::filesystem;
-
-/// File magic: "LDSNAP" + 0x1A (stops accidental text-mode readers) + a
-/// free byte reserved as zero.
-constexpr std::array<std::uint8_t, 8> kMagic = {'L', 'D', 'S', 'N',
-                                                'A', 'P', 0x1A, 0x00};
-// magic | u32 version | u32 payload CRC | u64 payload size | u64 input
-// fingerprint (since version 2).
-constexpr std::size_t kHeaderSize = kMagic.size() + 4 + 4 + 8 + 8;
 
 constexpr char kSnapshotPrefix[] = "snapshot-";
 constexpr char kSnapshotSuffix[] = ".ldsnap";
@@ -80,12 +74,11 @@ std::uint64_t GetU64(const std::uint8_t* in) {
          static_cast<std::uint64_t>(GetU32(in + 4)) << 32;
 }
 
-}  // namespace
-
-std::uint32_t Crc32(const void* data, std::size_t size) {
+/// CRC-32 register update without the final inversion, so a payload
+/// written in several parts is checksummed part by part.
+std::uint32_t Crc32Update(std::uint32_t crc, const std::uint8_t* bytes,
+                          std::size_t size) {
   const auto& t = Crc32Tables();
-  const auto* bytes = static_cast<const std::uint8_t*>(data);
-  std::uint32_t crc = 0xFFFFFFFFu;
   // The 8-at-a-time fold reads the words little-endian; on a big-endian
   // host the bytewise tail below handles everything.
   if constexpr (std::endian::native == std::endian::little) {
@@ -106,7 +99,26 @@ std::uint32_t Crc32(const void* data, std::size_t size) {
   for (std::size_t i = 0; i < size; ++i) {
     crc = t[0][(crc ^ bytes[i]) & 0xFFu] ^ (crc >> 8);
   }
-  return crc ^ 0xFFFFFFFFu;
+  return crc;
+}
+
+/// Sizes `rows` from a decoded u32 count, vetted against the bytes left
+/// (each row encodes to at least `row_bytes`): a lying count latches an
+/// error and leaves `rows` empty instead of throwing std::bad_alloc.
+template <typename T>
+void ResizeRows(SnapshotReader& r, std::vector<T>& rows,
+                std::size_t row_bytes) {
+  const std::uint32_t n = r.U32();
+  rows.clear();
+  if (r.CheckCount(n, row_bytes)) rows.resize(n);
+}
+
+}  // namespace
+
+std::uint32_t Crc32(const void* data, std::size_t size) {
+  return Crc32Update(0xFFFFFFFFu, static_cast<const std::uint8_t*>(data),
+                     size) ^
+         0xFFFFFFFFu;
 }
 
 void SnapshotWriter::U32(std::uint32_t v) {
@@ -208,7 +220,8 @@ void SnapshotReader::Raw(void* out, std::size_t size) {
     std::memset(out, 0, size);
     return;
   }
-  std::memcpy(out, data_ + pos_, size);
+  // An empty column's data() may be null, which memcpy must not see.
+  if (size != 0) std::memcpy(out, data_ + pos_, size);
   pos_ += size;
 }
 
@@ -301,124 +314,6 @@ Status LoadStatus(SnapshotReader& r) {
   std::string message = r.Str();
   if (code == StatusCode::kOk) return Status::Ok();
   return Status(code, std::move(message));
-}
-
-void SaveTorqueRecord(SnapshotWriter& w, const TorqueRecord& rec) {
-  w.U8(static_cast<std::uint8_t>(rec.kind));
-  w.Time(rec.time);
-  w.U64(rec.jobid);
-  w.Str(rec.user.view());
-  w.Str(rec.queue.view());
-  w.Str(rec.job_name.view());
-  w.Time(rec.submit);
-  w.Time(rec.start);
-  w.Time(rec.end);
-  w.I32(rec.exit_status);
-  w.U32(rec.nodect);
-  w.Dur(rec.walltime_limit);
-  w.Dur(rec.walltime_used);
-}
-
-void LoadTorqueRecord(SnapshotReader& r, TorqueRecord& rec) {
-  rec.kind = static_cast<TorqueRecord::Kind>(r.U8());
-  rec.time = r.Time();
-  rec.jobid = r.U64();
-  rec.user = Intern(r.Str());
-  rec.queue = Intern(r.Str());
-  rec.job_name = Intern(r.Str());
-  rec.submit = r.Time();
-  rec.start = r.Time();
-  rec.end = r.Time();
-  rec.exit_status = r.I32();
-  rec.nodect = r.U32();
-  rec.walltime_limit = r.Dur();
-  rec.walltime_used = r.Dur();
-}
-
-void SaveAppRun(SnapshotWriter& w, const AppRun& run) {
-  w.U64(run.apid);
-  w.U64(run.jobid);
-  w.Str(run.user.view());
-  w.Str(run.queue.view());
-  w.U8(static_cast<std::uint8_t>(run.node_type));
-  w.U32(static_cast<std::uint32_t>(run.nodes.size()));
-  for (NodeIndex n : run.nodes) w.U32(n);
-  w.U32(run.nodect);
-  w.Time(run.start);
-  w.Time(run.end);
-  w.Bool(run.has_termination);
-  w.I32(run.exit_code);
-  w.I32(run.exit_signal);
-  w.Bool(run.killed_node_failure);
-  w.U32(run.failed_nid);
-  w.Time(run.job_submit);
-  w.Time(run.job_start);
-  w.Dur(run.walltime_limit);
-  w.I32(run.job_exit_status);
-}
-
-void LoadAppRun(SnapshotReader& r, AppRun& run) {
-  run.apid = r.U64();
-  run.jobid = r.U64();
-  run.user = Intern(r.Str());
-  run.queue = Intern(r.Str());
-  run.node_type = static_cast<NodeType>(r.U8());
-  const std::uint32_t nodes = r.U32();
-  run.nodes.clear();
-  if (r.ok()) run.nodes.reserve(nodes);
-  for (std::uint32_t i = 0; i < nodes && r.ok(); ++i) {
-    run.nodes.push_back(r.U32());
-  }
-  run.nodect = r.U32();
-  run.start = r.Time();
-  run.end = r.Time();
-  run.has_termination = r.Bool();
-  run.exit_code = r.I32();
-  run.exit_signal = r.I32();
-  run.killed_node_failure = r.Bool();
-  run.failed_nid = r.U32();
-  run.job_submit = r.Time();
-  run.job_start = r.Time();
-  run.walltime_limit = r.Dur();
-  run.job_exit_status = r.I32();
-}
-
-void SaveErrorTuple(SnapshotWriter& w, const ErrorTuple& tuple) {
-  w.U64(tuple.id);
-  w.U8(static_cast<std::uint8_t>(tuple.category));
-  w.U8(static_cast<std::uint8_t>(tuple.severity));
-  w.U8(static_cast<std::uint8_t>(tuple.scope));
-  w.Str(tuple.location.view());
-  w.U32(static_cast<std::uint32_t>(tuple.nodes.size()));
-  for (NodeIndex n : tuple.nodes) w.U32(n);
-  w.Time(tuple.first);
-  w.Time(tuple.last);
-  w.Bool(tuple.recovered.has_value());
-  if (tuple.recovered.has_value()) w.Time(*tuple.recovered);
-  w.U32(tuple.count);
-  w.Bool(tuple.from_syslog);
-  w.Bool(tuple.from_hwerr);
-}
-
-void LoadErrorTuple(SnapshotReader& r, ErrorTuple& tuple) {
-  tuple.id = r.U64();
-  tuple.category = static_cast<ErrorCategory>(r.U8());
-  tuple.severity = static_cast<Severity>(r.U8());
-  tuple.scope = static_cast<LocScope>(r.U8());
-  tuple.location = Intern(r.Str());
-  const std::uint32_t nodes = r.U32();
-  tuple.nodes.clear();
-  if (r.CheckCount(nodes, sizeof(std::uint32_t))) tuple.nodes.reserve(nodes);
-  for (std::uint32_t i = 0; i < nodes && r.ok(); ++i) {
-    tuple.nodes.push_back(r.U32());
-  }
-  tuple.first = r.Time();
-  tuple.last = r.Time();
-  tuple.recovered.reset();
-  if (r.Bool()) tuple.recovered = r.Time();
-  tuple.count = r.U32();
-  tuple.from_syslog = r.Bool();
-  tuple.from_hwerr = r.Bool();
 }
 
 void SaveQuarantineEntry(SnapshotWriter& w, const QuarantineEntry& e) {
@@ -527,7 +422,7 @@ void LoadMetricsReport(SnapshotReader& r, MetricsReport& report) {
   report.lost_node_hours_fraction = r.F64();
   report.overall_mtti_hours = r.F64();
 
-  report.outcomes.resize(r.U32());
+  ResizeRows(r, report.outcomes, 1 + 4 * 8);
   for (OutcomeRow& row : report.outcomes) {
     row.outcome = static_cast<AppOutcome>(r.U8());
     row.runs = r.U64();
@@ -536,7 +431,7 @@ void LoadMetricsReport(SnapshotReader& r, MetricsReport& report) {
     row.node_hours_share = r.F64();
   }
 
-  report.categories.resize(r.U32());
+  ResizeRows(r, report.categories, 1 + 4 * 8);
   for (CategoryRow& row : report.categories) {
     row.category = static_cast<ErrorCategory>(r.U8());
     row.tuples = r.U64();
@@ -549,7 +444,7 @@ void LoadMetricsReport(SnapshotReader& r, MetricsReport& report) {
   report.availability.downtime_hours = r.F64();
   report.availability.availability = r.F64();
 
-  report.attribution.resize(r.U32());
+  ResizeRows(r, report.attribution, 1 + 2 * 8);
   for (AttributionRow& row : report.attribution) {
     row.cause = static_cast<ErrorCategory>(r.U8());
     row.xe_failures = r.U64();
@@ -557,7 +452,7 @@ void LoadMetricsReport(SnapshotReader& r, MetricsReport& report) {
   }
 
   for (auto* scale : {&report.xe_scale, &report.xk_scale}) {
-    scale->resize(r.U32());
+    ResizeRows(r, *scale, 2 * 4 + 5 * 8);
     for (ScalePoint& p : *scale) {
       p.lo = r.U32();
       p.hi = r.U32();
@@ -569,7 +464,7 @@ void LoadMetricsReport(SnapshotReader& r, MetricsReport& report) {
     }
   }
 
-  report.monthly.resize(r.U32());
+  ResizeRows(r, report.monthly, 2 * 4 + 5 * 8);
   for (MonthlyPoint& p : report.monthly) {
     p.year = r.I32();
     p.month = r.I32();
@@ -580,7 +475,7 @@ void LoadMetricsReport(SnapshotReader& r, MetricsReport& report) {
     p.mtti_hours = r.F64();
   }
 
-  report.detection_gap.resize(r.U32());
+  ResizeRows(r, report.detection_gap, 1 + 4 * 8);
   for (DetectionGapRow& row : report.detection_gap) {
     row.type = static_cast<NodeType>(r.U8());
     row.system_failures = r.U64();
@@ -589,7 +484,7 @@ void LoadMetricsReport(SnapshotReader& r, MetricsReport& report) {
     row.unattributed_share = r.F64();
   }
 
-  report.queue_waits.resize(r.U32());
+  ResizeRows(r, report.queue_waits, 2 * 4 + 3 * 8);
   for (QueueWaitRow& row : report.queue_waits) {
     row.lo = r.U32();
     row.hi = r.U32();
@@ -617,124 +512,495 @@ std::uint32_t FingerprintIngest(const IngestStats& stats) {
   return Crc32(w.bytes());
 }
 
-// --- snapshot files --------------------------------------------------
+// --- columnar record encoding ----------------------------------------
 
-Status WriteSnapshotFile(const std::string& path,
-                         const std::vector<std::uint8_t>& payload,
-                         std::uint64_t fingerprint) {
-  LD_OBS_SPAN("snapshot/write");
-  const std::uint64_t write_start_ns = LD_OBS_NOW_NS();
-  std::vector<std::uint8_t> framed;
-  framed.reserve(kHeaderSize + payload.size());
-  framed.insert(framed.end(), kMagic.begin(), kMagic.end());
-  std::uint8_t scratch[8];
-  PutU32(scratch, kSnapshotFileVersion);
-  framed.insert(framed.end(), scratch, scratch + 4);
-  PutU32(scratch, Crc32(payload));
-  framed.insert(framed.end(), scratch, scratch + 4);
-  const std::uint64_t size = payload.size();
-  PutU32(scratch, static_cast<std::uint32_t>(size));
-  PutU32(scratch + 4, static_cast<std::uint32_t>(size >> 32));
-  framed.insert(framed.end(), scratch, scratch + 8);
-  PutU32(scratch, static_cast<std::uint32_t>(fingerprint));
-  PutU32(scratch + 4, static_cast<std::uint32_t>(fingerprint >> 32));
-  framed.insert(framed.end(), scratch, scratch + 8);
-  framed.insert(framed.end(), payload.begin(), payload.end());
+namespace {
 
-  // The tmp name is pid-qualified: two processes sharing a snapshot dir
-  // (the daemon's per-tenant layout, or a test racing two writers) must
-  // never interleave writes into one tmp file — with a shared name, one
-  // writer's rename could publish a file the other was still appending
-  // to, a torn snapshot under the *final* name that atomicity exists to
-  // prevent.
+/// Per-column delta stream: consecutive apids ascend and times cluster
+/// within a run population, so most deltas fit in 1–2 bytes instead of
+/// 8.  Arithmetic is uint64 (wraparound well-defined) with C++20
+/// two's-complement casts at the boundaries.
+class DeltaWriter {
+ public:
+  explicit DeltaWriter(SnapshotWriter& w) : w_(w) {}
+  void Add(std::uint64_t v) {
+    w_.VarintSigned(static_cast<std::int64_t>(v - prev_));
+    prev_ = v;
+  }
+  void AddSigned(std::int64_t v) { Add(static_cast<std::uint64_t>(v)); }
+
+ private:
+  SnapshotWriter& w_;
+  std::uint64_t prev_ = 0;
+};
+
+class DeltaReader {
+ public:
+  explicit DeltaReader(SnapshotReader& r) : r_(r) {}
+  std::uint64_t Next() {
+    prev_ += static_cast<std::uint64_t>(r_.VarintSigned());
+    return prev_;
+  }
+  std::int64_t NextSigned() { return static_cast<std::int64_t>(Next()); }
+
+ private:
+  SnapshotReader& r_;
+  std::uint64_t prev_ = 0;
+};
+
+// The record a container element holds: the element itself, a map
+// entry's value, or the pointee.
+template <typename T>
+const T& RecordOf(const T& v) {
+  return v;
+}
+template <typename K, typename T>
+const T& RecordOf(const std::pair<const K, T>& kv) {
+  return kv.second;
+}
+template <typename T>
+const T& RecordOf(const T* p) {
+  return *p;
+}
+
+/// Node-list CSR: per-row varint length + one varint entry stream.
+template <typename Rows>
+void PutNodeCsr(SnapshotWriter& w, const Rows& rows) {
+  for (const auto& row : rows) w.Varint(RecordOf(row).nodes.size());
+  for (const auto& row : rows) {
+    for (const NodeIndex nid : RecordOf(row).nodes) w.Varint(nid);
+  }
+}
+
+template <typename Row>
+bool GetNodeCsr(SnapshotReader& r, std::vector<Row>& rows, const char* what) {
+  // Each entry costs at least one payload byte: a total past the
+  // remaining payload means a malformed length column.  Checked as the
+  // lengths are read, so a lying length cannot wrap the sum.
+  std::vector<std::uint64_t> lengths(rows.size());
+  std::uint64_t total = 0;
+  for (auto& len : lengths) {
+    len = r.Varint();
+    if (len > r.remaining() || total + len > r.remaining()) {
+      total = std::numeric_limits<std::uint64_t>::max();
+      break;
+    }
+    total += len;
+  }
+  if (!r.ok()) return false;
+  if (total > r.remaining()) {
+    r.Fail(std::string(what) + " node CSR is inconsistent");
+    return false;
+  }
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    rows[i].nodes.resize(lengths[i]);
+    for (auto& nid : rows[i].nodes) {
+      nid = static_cast<NodeIndex>(r.Varint());
+    }
+  }
+  return r.ok();
+}
+
+// Smallest encoding of one row, the bound a decoded row count is
+// vetted against: every varint/flag column costs at least one byte per
+// row, every symbol index four.
+constexpr std::size_t kTorqueRowMinBytes =
+    1 + 8 + 8 + 3 * 4 + 3 * 8 + 4 + 4 + 2 * 8;  // fixed-width columns
+constexpr std::size_t kRunRowMinBytes = 15 + 2 * 4;
+constexpr std::size_t kTupleRowMinBytes = 10 + 4;
+
+template <typename Rows>
+void PutTorqueRows(SnapshotWriter& w, const Rows& recs) {
+  w.U64(recs.size());
+  for (const auto& e : recs) w.U8(static_cast<std::uint8_t>(RecordOf(e).kind));
+  for (const auto& e : recs) w.I64(RecordOf(e).time.unix_seconds());
+  for (const auto& e : recs) w.U64(RecordOf(e).jobid);
+  PutSymbolColumn(w, recs, [](const auto& e) { return RecordOf(e).user; });
+  PutSymbolColumn(w, recs, [](const auto& e) { return RecordOf(e).queue; });
+  PutSymbolColumn(w, recs, [](const auto& e) { return RecordOf(e).job_name; });
+  for (const auto& e : recs) w.I64(RecordOf(e).submit.unix_seconds());
+  for (const auto& e : recs) w.I64(RecordOf(e).start.unix_seconds());
+  for (const auto& e : recs) w.I64(RecordOf(e).end.unix_seconds());
+  for (const auto& e : recs) w.I32(RecordOf(e).exit_status);
+  for (const auto& e : recs) w.U32(RecordOf(e).nodect);
+  for (const auto& e : recs) w.I64(RecordOf(e).walltime_limit.seconds());
+  for (const auto& e : recs) w.I64(RecordOf(e).walltime_used.seconds());
+}
+
+// Column order is the cache's v1 order; v2 only shrank the element
+// encoding (docs/FORMATS.md "Parsed-bundle cache v2").
+template <typename Rows>
+void PutRunRows(SnapshotWriter& w, const Rows& runs) {
+  w.Varint(runs.size());
+  {
+    DeltaWriter apid(w);
+    for (const auto& e : runs) apid.Add(RecordOf(e).apid);
+  }
+  {
+    DeltaWriter jobid(w);
+    for (const auto& e : runs) jobid.Add(RecordOf(e).jobid);
+  }
+  PutSymbolColumn(w, runs, [](const auto& e) { return RecordOf(e).user; });
+  PutSymbolColumn(w, runs, [](const auto& e) { return RecordOf(e).queue; });
+  for (const auto& e : runs) {
+    w.U8(static_cast<std::uint8_t>(RecordOf(e).node_type));
+  }
+  PutNodeCsr(w, runs);
+  for (const auto& e : runs) w.Varint(RecordOf(e).nodect);
+  {
+    DeltaWriter start(w);
+    for (const auto& e : runs) {
+      start.AddSigned(RecordOf(e).start.unix_seconds());
+    }
+  }
+  {
+    DeltaWriter end(w);
+    for (const auto& e : runs) end.AddSigned(RecordOf(e).end.unix_seconds());
+  }
+  for (const auto& e : runs) {
+    const AppRun& run = RecordOf(e);
+    std::uint8_t flags = 0;
+    if (run.has_termination) flags |= 1;
+    if (run.killed_node_failure) flags |= 2;
+    w.U8(flags);
+  }
+  for (const auto& e : runs) w.VarintSigned(RecordOf(e).exit_code);
+  for (const auto& e : runs) w.VarintSigned(RecordOf(e).exit_signal);
+  for (const auto& e : runs) w.Varint(RecordOf(e).failed_nid);
+  {
+    DeltaWriter submit(w);
+    for (const auto& e : runs) {
+      submit.AddSigned(RecordOf(e).job_submit.unix_seconds());
+    }
+  }
+  {
+    DeltaWriter jstart(w);
+    for (const auto& e : runs) {
+      jstart.AddSigned(RecordOf(e).job_start.unix_seconds());
+    }
+  }
+  for (const auto& e : runs) {
+    w.VarintSigned(RecordOf(e).walltime_limit.seconds());
+  }
+  for (const auto& e : runs) w.VarintSigned(RecordOf(e).job_exit_status);
+}
+
+template <typename Rows>
+void PutTupleRows(SnapshotWriter& w, const Rows& tuples) {
+  w.Varint(tuples.size());
+  {
+    DeltaWriter id(w);
+    for (const auto& e : tuples) id.Add(RecordOf(e).id);
+  }
+  for (const auto& e : tuples) {
+    w.U8(static_cast<std::uint8_t>(RecordOf(e).category));
+  }
+  for (const auto& e : tuples) {
+    w.U8(static_cast<std::uint8_t>(RecordOf(e).severity));
+  }
+  for (const auto& e : tuples) {
+    w.U8(static_cast<std::uint8_t>(RecordOf(e).scope));
+  }
+  PutSymbolColumn(w, tuples,
+                  [](const auto& e) { return RecordOf(e).location; });
+  PutNodeCsr(w, tuples);
+  {
+    DeltaWriter first(w);
+    for (const auto& e : tuples) {
+      first.AddSigned(RecordOf(e).first.unix_seconds());
+    }
+  }
+  {
+    DeltaWriter last(w);
+    for (const auto& e : tuples) {
+      last.AddSigned(RecordOf(e).last.unix_seconds());
+    }
+  }
+  for (const auto& e : tuples) w.U8(RecordOf(e).recovered.has_value() ? 1 : 0);
+  {
+    // Sparse column: only set recovery times are written, as deltas.
+    DeltaWriter recovered(w);
+    for (const auto& e : tuples) {
+      const ErrorTuple& t = RecordOf(e);
+      if (t.recovered) recovered.AddSigned(t.recovered->unix_seconds());
+    }
+  }
+  for (const auto& e : tuples) w.Varint(RecordOf(e).count);
+  for (const auto& e : tuples) {
+    const ErrorTuple& t = RecordOf(e);
+    std::uint8_t flags = 0;
+    if (t.from_syslog) flags |= 1;
+    if (t.from_hwerr) flags |= 2;
+    w.U8(flags);
+  }
+}
+
+}  // namespace
+
+void PutTorque(SnapshotWriter& w, const std::vector<TorqueRecord>& recs) {
+  PutTorqueRows(w, recs);
+}
+void PutTorque(SnapshotWriter& w,
+               const std::map<std::uint64_t, TorqueRecord>& by_jobid) {
+  PutTorqueRows(w, by_jobid);
+}
+
+void GetTorque(SnapshotReader& r, std::vector<TorqueRecord>& recs) {
+  const std::uint64_t n = r.U64();
+  if (!r.CheckCount(n, kTorqueRowMinBytes)) return;
+  recs.resize(n);
+  for (auto& rec : recs) rec.kind = static_cast<TorqueRecord::Kind>(r.U8());
+  for (auto& rec : recs) rec.time = TimePoint(r.I64());
+  for (auto& rec : recs) rec.jobid = r.U64();
+  GetSymbolColumn(r, n, [&](std::size_t i, Symbol s) { recs[i].user = s; });
+  GetSymbolColumn(r, n, [&](std::size_t i, Symbol s) { recs[i].queue = s; });
+  GetSymbolColumn(r, n, [&](std::size_t i, Symbol s) { recs[i].job_name = s; });
+  for (auto& rec : recs) rec.submit = TimePoint(r.I64());
+  for (auto& rec : recs) rec.start = TimePoint(r.I64());
+  for (auto& rec : recs) rec.end = TimePoint(r.I64());
+  for (auto& rec : recs) rec.exit_status = r.I32();
+  for (auto& rec : recs) rec.nodect = r.U32();
+  for (auto& rec : recs) rec.walltime_limit = Duration(r.I64());
+  for (auto& rec : recs) rec.walltime_used = Duration(r.I64());
+}
+
+void PutRuns(SnapshotWriter& w, const std::vector<AppRun>& runs) {
+  PutRunRows(w, runs);
+}
+void PutRuns(SnapshotWriter& w, const std::deque<AppRun>& runs) {
+  PutRunRows(w, runs);
+}
+void PutRuns(SnapshotWriter& w,
+             const std::map<std::uint64_t, AppRun>& by_apid) {
+  PutRunRows(w, by_apid);
+}
+
+void GetRuns(SnapshotReader& r, std::vector<AppRun>& runs) {
+  const std::uint64_t n = r.Varint();
+  if (!r.CheckCount(n, kRunRowMinBytes)) return;
+  runs.resize(n);
+  {
+    DeltaReader apid(r);
+    for (auto& run : runs) run.apid = apid.Next();
+  }
+  {
+    DeltaReader jobid(r);
+    for (auto& run : runs) run.jobid = jobid.Next();
+  }
+  GetSymbolColumn(r, n, [&](std::size_t i, Symbol s) { runs[i].user = s; });
+  GetSymbolColumn(r, n, [&](std::size_t i, Symbol s) { runs[i].queue = s; });
+  for (auto& run : runs) run.node_type = static_cast<NodeType>(r.U8());
+  if (!GetNodeCsr(r, runs, "run")) return;
+  for (auto& run : runs) run.nodect = static_cast<std::uint32_t>(r.Varint());
+  {
+    DeltaReader start(r);
+    for (auto& run : runs) run.start = TimePoint(start.NextSigned());
+  }
+  {
+    DeltaReader end(r);
+    for (auto& run : runs) run.end = TimePoint(end.NextSigned());
+  }
+  for (auto& run : runs) {
+    const std::uint8_t flags = r.U8();
+    run.has_termination = (flags & 1) != 0;
+    run.killed_node_failure = (flags & 2) != 0;
+  }
+  for (auto& run : runs) run.exit_code = static_cast<int>(r.VarintSigned());
+  for (auto& run : runs) run.exit_signal = static_cast<int>(r.VarintSigned());
+  for (auto& run : runs) run.failed_nid = static_cast<NodeIndex>(r.Varint());
+  {
+    DeltaReader submit(r);
+    for (auto& run : runs) run.job_submit = TimePoint(submit.NextSigned());
+  }
+  {
+    DeltaReader jstart(r);
+    for (auto& run : runs) run.job_start = TimePoint(jstart.NextSigned());
+  }
+  for (auto& run : runs) run.walltime_limit = Duration(r.VarintSigned());
+  for (auto& run : runs) {
+    run.job_exit_status = static_cast<int>(r.VarintSigned());
+  }
+}
+
+void PutTuples(SnapshotWriter& w, const std::vector<ErrorTuple>& tuples) {
+  PutTupleRows(w, tuples);
+}
+void PutTuples(SnapshotWriter& w, const std::deque<ErrorTuple>& tuples) {
+  PutTupleRows(w, tuples);
+}
+void PutTuples(SnapshotWriter& w,
+               const std::vector<const ErrorTuple*>& tuples) {
+  PutTupleRows(w, tuples);
+}
+
+void GetTuples(SnapshotReader& r, std::vector<ErrorTuple>& tuples) {
+  const std::uint64_t n = r.Varint();
+  if (!r.CheckCount(n, kTupleRowMinBytes)) return;
+  tuples.resize(n);
+  {
+    DeltaReader id(r);
+    for (auto& t : tuples) t.id = id.Next();
+  }
+  for (auto& t : tuples) t.category = static_cast<ErrorCategory>(r.U8());
+  for (auto& t : tuples) t.severity = static_cast<Severity>(r.U8());
+  for (auto& t : tuples) t.scope = static_cast<LocScope>(r.U8());
+  GetSymbolColumn(r, n,
+                  [&](std::size_t i, Symbol s) { tuples[i].location = s; });
+  if (!GetNodeCsr(r, tuples, "tuple")) return;
+  {
+    DeltaReader first(r);
+    for (auto& t : tuples) t.first = TimePoint(first.NextSigned());
+  }
+  {
+    DeltaReader last(r);
+    for (auto& t : tuples) t.last = TimePoint(last.NextSigned());
+  }
+  std::vector<std::uint8_t> recovered_set(n);
+  for (auto& set : recovered_set) set = r.U8();
+  {
+    DeltaReader recovered(r);
+    for (std::size_t i = 0; i < n; ++i) {
+      if (recovered_set[i] != 0) {
+        tuples[i].recovered = TimePoint(recovered.NextSigned());
+      }
+    }
+  }
+  for (auto& t : tuples) t.count = static_cast<std::uint32_t>(r.Varint());
+  for (auto& t : tuples) {
+    const std::uint8_t flags = r.U8();
+    t.from_syslog = (flags & 1) != 0;
+    t.from_hwerr = (flags & 2) != 0;
+  }
+}
+
+// --- framed files ------------------------------------------------------
+
+Result<std::uint64_t> WriteFramedFile(
+    const std::string& path, const FramedKind& kind,
+    std::initializer_list<std::span<const std::uint8_t>> payload,
+    std::uint64_t fingerprint) {
+  std::uint64_t size = 0;
+  std::uint32_t crc = 0xFFFFFFFFu;
+  for (const auto part : payload) {
+    size += part.size();
+    crc = Crc32Update(crc, part.data(), part.size());
+  }
+  std::array<std::uint8_t, kFramedHeaderSize> header;
+  std::memcpy(header.data(), kind.magic.data(), kind.magic.size());
+  PutU32(header.data() + 8, kind.version);
+  PutU32(header.data() + 12, crc ^ 0xFFFFFFFFu);
+  PutU32(header.data() + 16, static_cast<std::uint32_t>(size));
+  PutU32(header.data() + 20, static_cast<std::uint32_t>(size >> 32));
+  PutU32(header.data() + 24, static_cast<std::uint32_t>(fingerprint));
+  PutU32(header.data() + 28, static_cast<std::uint32_t>(fingerprint >> 32));
+
+  // The tmp name is pid-qualified: two processes sharing a directory
+  // (the daemon's per-tenant layout, fleet workers sharing a cache, a
+  // test racing two writers) must never interleave writes into one tmp
+  // file — with a shared name, one writer's rename could publish a file
+  // the other was still appending to, a torn file under the *final*
+  // name that atomicity exists to prevent.  Concurrent writers of one
+  // path race benignly: last rename wins and both candidates are
+  // complete, valid files.
   const std::string tmp =
       path + ".tmp." + std::to_string(static_cast<long long>(::getpid()));
   const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) {
-    return InternalError("snapshot: cannot create " + tmp + ": " +
+    return InternalError("cannot create " + tmp + ": " +
                          std::strerror(errno));
   }
-  std::size_t written = 0;
-  while (written < framed.size()) {
-    const ssize_t n =
-        ::write(fd, framed.data() + written, framed.size() - written);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      const std::string why = std::strerror(errno);
-      ::close(fd);
-      ::unlink(tmp.c_str());
-      return InternalError("snapshot: short write to " + tmp + ": " + why);
-    }
-    written += static_cast<std::size_t>(n);
-  }
-  // fsync before rename: the rename must never become durable ahead of
-  // the data it points at.
-  if (::fsync(fd) != 0) {
+  const auto fail = [&](const std::string& what) {
     const std::string why = std::strerror(errno);
     ::close(fd);
     ::unlink(tmp.c_str());
-    return InternalError("snapshot: fsync " + tmp + " failed: " + why);
+    return InternalError(what + " " + tmp + " failed: " + why);
+  };
+  const auto write_all = [fd](const std::uint8_t* data, std::size_t n) {
+    while (n > 0) {
+      const ssize_t done = ::write(fd, data, n);
+      if (done < 0) {
+        if (errno == EINTR) continue;
+        return false;
+      }
+      data += done;
+      n -= static_cast<std::size_t>(done);
+    }
+    return true;
+  };
+  if (!write_all(header.data(), header.size())) return fail("write to");
+  for (const auto part : payload) {
+    if (!write_all(part.data(), part.size())) return fail("write to");
   }
+  // fsync before rename: the rename must never become durable ahead of
+  // the data it points at.
+  if (::fsync(fd) != 0) return fail("fsync");
   if (::close(fd) != 0) {
     ::unlink(tmp.c_str());
-    return InternalError("snapshot: close " + tmp + " failed");
+    return InternalError("close " + tmp + " failed");
   }
   if (::rename(tmp.c_str(), path.c_str()) != 0) {
     const std::string why = std::strerror(errno);
     ::unlink(tmp.c_str());
-    return InternalError("snapshot: rename to " + path + " failed: " + why);
+    return InternalError("rename to " + path + " failed: " + why);
+  }
+  return kFramedHeaderSize + size;
+}
+
+Result<FramedFile> OpenFramedFile(const std::string& path,
+                                  const FramedKind& kind,
+                                  std::uint64_t expected_fingerprint) {
+  FramedFile out;
+  LD_ASSIGN_OR_RETURN(out.file, MappedFile::Open(path));
+  const std::string_view data = out.file.data();
+  const auto* bytes = reinterpret_cast<const std::uint8_t*>(data.data());
+  if (data.size() < kFramedHeaderSize) {
+    return ParseError(path + " shorter than the header");
+  }
+  if (!std::equal(kind.magic.begin(), kind.magic.end(), bytes)) {
+    return ParseError(path + " has a bad magic number");
+  }
+  const std::uint32_t version = GetU32(bytes + 8);
+  if (version != kind.version) {
+    return ParseError(path + " has format version " + std::to_string(version) +
+                      ", this build speaks " + std::to_string(kind.version));
+  }
+  const std::uint32_t crc = GetU32(bytes + 12);
+  const std::uint64_t declared = GetU64(bytes + 16);
+  if (declared != data.size() - kFramedHeaderSize) {
+    return ParseError(path + " is torn (declares " + std::to_string(declared) +
+                      " payload bytes, has " +
+                      std::to_string(data.size() - kFramedHeaderSize) + ")");
+  }
+  out.payload = std::span<const std::uint8_t>(bytes + kFramedHeaderSize,
+                                              declared);
+  if (Crc32(out.payload.data(), out.payload.size()) != crc) {
+    return ParseError(path + " fails its CRC check");
+  }
+  out.fingerprint = GetU64(bytes + 24);
+  if (expected_fingerprint != 0 && out.fingerprint != expected_fingerprint) {
+    return ParseError(path + " belongs to a different input (fingerprint " +
+                      std::to_string(out.fingerprint) + ", expected " +
+                      std::to_string(expected_fingerprint) + ")");
+  }
+  return out;
+}
+
+Status WriteSnapshotFile(const std::string& path,
+                         std::span<const std::uint8_t> payload,
+                         std::uint64_t fingerprint) {
+  LD_OBS_SPAN("snapshot/write");
+  const std::uint64_t write_start_ns = LD_OBS_NOW_NS();
+  auto written = WriteFramedFile(path, kSnapshotFile, {payload}, fingerprint);
+  if (!written.ok()) {
+    return InternalError("snapshot: " + written.status().message());
   }
   LD_OBS_COUNTER_ADD(obs::names::kSnapshotWritesTotal, 1);
-  LD_OBS_COUNTER_ADD(obs::names::kSnapshotWriteBytesTotal, framed.size());
+  LD_OBS_COUNTER_ADD(obs::names::kSnapshotWriteBytesTotal, *written);
   if (write_start_ns != 0) {
     LD_OBS_HIST_RECORD(obs::names::kSnapshotWriteMicros,
                        (LD_OBS_NOW_NS() - write_start_ns) / 1000);
   }
   return Status::Ok();
-}
-
-Result<std::vector<std::uint8_t>> ReadSnapshotFile(
-    const std::string& path, std::uint64_t* fingerprint) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    return NotFoundError("snapshot: cannot open " + path);
-  }
-  std::fseek(f, 0, SEEK_END);
-  const long file_size = std::ftell(f);
-  std::fseek(f, 0, SEEK_SET);
-  if (file_size < 0 || static_cast<std::size_t>(file_size) < kHeaderSize) {
-    std::fclose(f);
-    return ParseError("snapshot: " + path + " shorter than the header");
-  }
-  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(file_size));
-  const std::size_t read = std::fread(bytes.data(), 1, bytes.size(), f);
-  std::fclose(f);
-  if (read != bytes.size()) {
-    return ParseError("snapshot: short read from " + path);
-  }
-  if (!std::equal(kMagic.begin(), kMagic.end(), bytes.begin())) {
-    return ParseError("snapshot: " + path + " has a bad magic number");
-  }
-  const std::uint32_t version = GetU32(bytes.data() + kMagic.size());
-  if (version != kSnapshotFileVersion) {
-    return ParseError("snapshot: " + path + " has unsupported version " +
-                      std::to_string(version));
-  }
-  const std::uint32_t crc = GetU32(bytes.data() + kMagic.size() + 4);
-  const std::uint64_t declared = GetU64(bytes.data() + kMagic.size() + 8);
-  if (declared != bytes.size() - kHeaderSize) {
-    return ParseError("snapshot: " + path + " is torn (declares " +
-                      std::to_string(declared) + " payload bytes, has " +
-                      std::to_string(bytes.size() - kHeaderSize) + ")");
-  }
-  std::vector<std::uint8_t> payload(bytes.begin() + kHeaderSize, bytes.end());
-  if (Crc32(payload) != crc) {
-    return ParseError("snapshot: " + path + " fails its CRC check");
-  }
-  if (fingerprint != nullptr) {
-    *fingerprint = GetU64(bytes.data() + kMagic.size() + 16);
-  }
-  return payload;
 }
 
 SnapshotStore::SnapshotStore(std::string dir, std::size_t keep_generations)
@@ -772,7 +1038,7 @@ std::vector<std::uint64_t> SnapshotStore::Generations() const {
 }
 
 Result<std::uint64_t> SnapshotStore::Write(
-    const std::vector<std::uint8_t>& payload, std::uint64_t fingerprint) {
+    std::span<const std::uint8_t> payload, std::uint64_t fingerprint) {
   std::error_code ec;
   fs::create_directories(dir_, ec);
   if (ec) {
@@ -797,19 +1063,14 @@ Result<SnapshotStore::Loaded> SnapshotStore::LoadLatest(
   const std::vector<std::uint64_t> gens = Generations();
   Loaded loaded;
   for (auto it = gens.rbegin(); it != gens.rend(); ++it) {
-    std::uint64_t fingerprint = 0;
-    auto payload = ReadSnapshotFile(PathFor(*it), &fingerprint);
-    if (payload.ok() && expected_fingerprint != 0 &&
-        fingerprint != expected_fingerprint) {
-      // Structurally intact but computed from different input: a stale
-      // directory or a foreign partial.  As unusable as a torn file.
-      payload = ParseError("snapshot: " + PathFor(*it) +
-                           " fingerprints a different input");
-    }
-    if (payload.ok()) {
-      loaded.payload = std::move(*payload);
+    // A structurally intact snapshot computed from different input (a
+    // stale directory or a foreign partial) is as unusable as a torn
+    // one, and falls back the same way.
+    auto file = OpenFramedFile(PathFor(*it), kSnapshotFile,
+                               expected_fingerprint);
+    if (file.ok()) {
+      loaded.file = std::move(*file);
       loaded.generation = *it;
-      loaded.fingerprint = fingerprint;
       LD_OBS_COUNTER_ADD(obs::names::kSnapshotRestoresTotal, 1);
       return loaded;
     }

@@ -12,9 +12,24 @@ namespace {
 /// encoding change (docs/FORMATS.md documents the current layout).
 // Version 2: MetricsAccumulator state moved to integer node-second
 // tallies and per-job queue-wait winners (the mergeable-aggregate
-// refactor); version-1 snapshots are rejected and analysis restarts
-// from the raw logs.
-constexpr std::uint32_t kStreamStateVersion = 2;
+// refactor).  Version 3: jobs, runs and tuples (the coalescer's
+// included) moved to the columnar record encoding, with the map keys
+// re-derived from each record instead of written.  Older snapshots are
+// rejected and analysis restarts from the raw logs.
+constexpr std::uint32_t kStreamStateVersion = 3;
+
+/// Moves decoded records into `map` keyed by each record's own id (the
+/// snapshot does not write the keys); a repeated id means the payload
+/// is not one this build wrote.
+template <typename Map, typename Rec, typename KeyFn>
+void Rekey(SnapshotReader& r, std::vector<Rec>& recs, Map& map, KeyFn key) {
+  map.clear();
+  for (Rec& rec : recs) {
+    const auto id = key(rec);
+    map.emplace_hint(map.end(), id, std::move(rec));
+  }
+  if (map.size() != recs.size()) r.Fail("two records share one id");
+}
 
 }  // namespace
 
@@ -386,20 +401,10 @@ void StreamingAnalyzer::Snapshot(SnapshotWriter& w) const {
   quarantine_.SaveState(w);
   metrics_.SaveState(w);
 
-  w.U64(jobs_.size());
-  for (const auto& [jobid, record] : jobs_) {
-    w.U64(jobid);
-    SaveTorqueRecord(w, record);
-  }
-  w.U64(open_runs_.size());
-  for (const auto& [apid, run] : open_runs_) {
-    w.U64(apid);
-    SaveAppRun(w, run);
-  }
-  w.U64(pending_.size());
-  for (const AppRun& run : pending_) SaveAppRun(w, run);
-  w.U64(tuple_buffer_.size());
-  for (const ErrorTuple& tuple : tuple_buffer_) SaveErrorTuple(w, tuple);
+  PutTorque(w, jobs_);
+  PutRuns(w, open_runs_);
+  PutRuns(w, pending_);
+  PutTuples(w, tuple_buffer_);
   w.U64(recent_terminated_.size());
   for (const auto& [apid, end] : recent_terminated_) {
     w.U64(apid);
@@ -451,32 +456,20 @@ Status StreamingAnalyzer::Restore(SnapshotReader& r) {
   quarantine_.LoadState(r);
   metrics_.LoadState(r);
 
-  jobs_.clear();
-  for (std::uint64_t i = 0, n = r.U64(); i < n && r.ok(); ++i) {
-    const JobId jobid = r.U64();
-    TorqueRecord record;
-    LoadTorqueRecord(r, record);
-    jobs_.emplace_hint(jobs_.end(), jobid, std::move(record));
-  }
-  open_runs_.clear();
-  for (std::uint64_t i = 0, n = r.U64(); i < n && r.ok(); ++i) {
-    const ApId apid = r.U64();
-    AppRun run;
-    LoadAppRun(r, run);
-    open_runs_.emplace_hint(open_runs_.end(), apid, std::move(run));
-  }
-  pending_.clear();
-  for (std::uint64_t i = 0, n = r.U64(); i < n && r.ok(); ++i) {
-    AppRun run;
-    LoadAppRun(r, run);
-    pending_.push_back(std::move(run));
-  }
-  tuple_buffer_.clear();
-  for (std::uint64_t i = 0, n = r.U64(); i < n && r.ok(); ++i) {
-    ErrorTuple tuple;
-    LoadErrorTuple(r, tuple);
-    tuple_buffer_.push_back(std::move(tuple));
-  }
+  std::vector<TorqueRecord> jobs;
+  GetTorque(r, jobs);
+  Rekey(r, jobs, jobs_, [](const TorqueRecord& rec) { return rec.jobid; });
+  std::vector<AppRun> runs;
+  GetRuns(r, runs);
+  Rekey(r, runs, open_runs_, [](const AppRun& run) { return run.apid; });
+  runs.clear();
+  GetRuns(r, runs);
+  pending_.assign(std::make_move_iterator(runs.begin()),
+                  std::make_move_iterator(runs.end()));
+  std::vector<ErrorTuple> tuples;
+  GetTuples(r, tuples);
+  tuple_buffer_.assign(std::make_move_iterator(tuples.begin()),
+                       std::make_move_iterator(tuples.end()));
   recent_terminated_.clear();
   for (std::uint64_t i = 0, n = r.U64(); i < n && r.ok(); ++i) {
     const ApId apid = r.U64();

@@ -17,6 +17,7 @@
 #include "logdiver/cache/bundle_cache.hpp"
 #include "logdiver/logdiver.hpp"
 #include "logdiver/resume.hpp"
+#include "logdiver/service/tenant.hpp"
 #include "logdiver/snapshot.hpp"
 #include "simlog/scenario.hpp"
 
@@ -406,6 +407,100 @@ TEST(BundleCache, V1EntryIsRejectedAsStaleAndRewritten) {
 
   fs::remove_all(cb.bundle_dir);
   fs::remove_all(cb.cache_dir);
+}
+
+TEST(BundleCache, FingerprintValuesArePinned) {
+  // LinesFingerprint and TenantFingerprint values are persisted in
+  // snapshot/partial headers and cache file names: a change to either
+  // hash silently turns every existing snapshot, partial and cache
+  // entry into a rejection.  These literals were produced by the
+  // implementation that wrote those files.
+  LogSet logs;
+  logs.torque = {"t1", "torque line two"};
+  logs.alps = {"a"};
+  logs.hwerr = {"hw 0123456789abcdef"};
+  const LogSetView views(logs);
+  EXPECT_EQ(cache::LinesFingerprint(views, 0), 6924011133348016765ull);
+  EXPECT_EQ(cache::LinesFingerprint(views, 3), 4982407652749070ull);
+  EXPECT_EQ(service::TenantShard::TenantFingerprint("alpha"),
+            13760720890365174245ull);
+  EXPECT_EQ(service::TenantShard::TenantFingerprint(""),
+            5043875746270452739ull);
+}
+
+// A CRC-valid entry whose payload lies about a count — crafted, or
+// written by a buggy build — must be rejected like a torn one: the
+// decoders vet every count before it sizes an allocation, so Load
+// returns ParseError (text-parse fallback) instead of letting
+// std::bad_alloc escape.
+class LyingCountEntry : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    dir_ = ::testing::TempDir() + "/ld_bc_lying_" +
+           ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    fs::remove_all(dir_);
+    fs::create_directories(dir_);
+  }
+  void TearDown() override { fs::remove_all(dir_); }
+
+  // Rewrites the stored entry with the u32 `offset_from_end` bytes
+  // before the end of its payload set to 0xFFFFFFFF, CRC recomputed.
+  void PlantLyingCount(const cache::BundleCache& bundle_cache,
+                       std::int64_t offset_from_end) {
+    const std::string path = bundle_cache.BundlePath(keys_.input_fingerprint);
+    auto file = OpenFramedFile(path, cache::kBundleCacheFile);
+    ASSERT_TRUE(file.ok()) << file.status().ToString();
+    std::vector<std::uint8_t> payload(file->payload.begin(),
+                                      file->payload.end());
+    const std::size_t at =
+        payload.size() - static_cast<std::size_t>(offset_from_end);
+    for (std::size_t i = 0; i < 4; ++i) payload[at + i] = 0xFF;
+    ASSERT_TRUE(WriteFramedFile(path, cache::kBundleCacheFile, {payload},
+                                keys_.input_fingerprint)
+                    .ok());
+  }
+
+  std::string dir_;
+  const cache::CacheKeys keys_{0x1234, 0x55, 0x66};
+};
+
+TEST_F(LyingCountEntry, ReportRowCountInAFullHitIsRejectedNotThrown) {
+  const cache::BundleCache bundle_cache(dir_);
+  const ParsedLogs empty;
+  ASSERT_TRUE(bundle_cache
+                  .Store(keys_, cache::BundleCache::EncodeParsed(empty),
+                         AnalysisResult{})
+                  .ok());
+  // The memoized report ends the payload; its outcome-row count follows
+  // total_runs and four doubles (the report's first 44 bytes).
+  SnapshotWriter report;
+  SaveMetricsReport(report, MetricsReport{});
+  PlantLyingCount(bundle_cache,
+                  static_cast<std::int64_t>(report.bytes().size()) - 40);
+  Result<cache::LoadedEntry> loaded = NotFoundError("not loaded");
+  EXPECT_NO_THROW(loaded = bundle_cache.Load(keys_));
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kParseError)
+      << loaded.status().ToString();
+}
+
+TEST_F(LyingCountEntry, QuarantineCountInARecordsHitIsRejectedNotThrown) {
+  const cache::BundleCache bundle_cache(dir_);
+  // The records section ends with the quarantine sink's state: u32
+  // entry count, then totals (2 x u64) and per-source counts (4 x u64).
+  const ParsedLogs empty;
+  std::vector<std::uint8_t> records = cache::BundleCache::EncodeParsed(empty);
+  const std::size_t sink_at = records.size() - (4 + 6 * 8);
+  for (std::size_t i = 0; i < 4; ++i) records[sink_at + i] = 0xFF;
+  ASSERT_TRUE(bundle_cache.Store(keys_, records, AnalysisResult{}).ok());
+  // A different analysis key makes the load a records hit.
+  cache::CacheKeys retuned = keys_;
+  retuned.analysis_key += 1;
+  Result<cache::LoadedEntry> loaded = NotFoundError("not loaded");
+  EXPECT_NO_THROW(loaded = bundle_cache.Load(retuned));
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kParseError)
+      << loaded.status().ToString();
 }
 
 // Small identical claims payloads so every entry has the same size and

@@ -306,17 +306,23 @@ TEST(ParallelAnalysis, InternedFieldsRoundTripThroughSnapshot) {
   rec.job_name = Intern("snapshot-job");
 
   SnapshotWriter w;
-  SaveAppRun(w, run);
-  SaveErrorTuple(w, tuple);
-  SaveTorqueRecord(w, rec);
+  PutRuns(w, std::vector<AppRun>{run});
+  PutTuples(w, std::vector<ErrorTuple>{tuple});
+  PutTorque(w, std::vector<TorqueRecord>{rec});
 
   SnapshotReader r(w.bytes());
-  AppRun run2;
-  ErrorTuple tuple2;
-  TorqueRecord rec2;
-  LoadAppRun(r, run2);
-  LoadErrorTuple(r, tuple2);
-  LoadTorqueRecord(r, rec2);
+  std::vector<AppRun> runs;
+  std::vector<ErrorTuple> tuples;
+  std::vector<TorqueRecord> recs;
+  GetRuns(r, runs);
+  GetTuples(r, tuples);
+  GetTorque(r, recs);
+  ASSERT_EQ(runs.size(), 1u);
+  ASSERT_EQ(tuples.size(), 1u);
+  ASSERT_EQ(recs.size(), 1u);
+  const AppRun& run2 = runs[0];
+  const ErrorTuple& tuple2 = tuples[0];
+  const TorqueRecord& rec2 = recs[0];
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r.remaining(), 0u);
   EXPECT_EQ(run2.user, run.user);

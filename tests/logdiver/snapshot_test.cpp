@@ -7,9 +7,11 @@
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "logdiver/coalesce.hpp"
 #include "logdiver/streaming.hpp"
 #include "simlog/scenario.hpp"
 
@@ -80,6 +82,29 @@ TEST(SnapshotIoTest, OversizedStringPrefixFails) {
   EXPECT_FALSE(r.ok());
 }
 
+TEST(SnapshotIoTest, NodeCsrLengthsThatWrapAreRejected) {
+  // Two tuples whose node-list lengths are 2^63 each: their sum wraps
+  // to 0, so only a per-row check keeps them from sizing an allocation.
+  SnapshotWriter w;
+  w.Varint(2);                        // rows
+  w.VarintSigned(1);                  // id deltas
+  w.VarintSigned(1);
+  for (int column = 0; column < 3; ++column) {  // category/severity/scope
+    w.U8(0);
+    w.U8(0);
+  }
+  w.U32(1);                           // symbol table: one location
+  w.Str("c0-0c0s0n0");
+  PutPodColumn(w, std::vector<std::uint32_t>{0, 0});
+  w.Varint(std::uint64_t{1} << 63);   // node CSR lengths
+  w.Varint(std::uint64_t{1} << 63);
+  for (int i = 0; i < 32; ++i) w.U8(0);
+  SnapshotReader r(w.bytes());
+  std::vector<ErrorTuple> tuples;
+  EXPECT_NO_THROW(GetTuples(r, tuples));
+  EXPECT_FALSE(r.ok());
+}
+
 class SnapshotFileTest : public ::testing::Test {
  protected:
   std::string Path(const std::string& name) const {
@@ -87,13 +112,17 @@ class SnapshotFileTest : public ::testing::Test {
   }
 };
 
+std::vector<std::uint8_t> Bytes(std::span<const std::uint8_t> payload) {
+  return {payload.begin(), payload.end()};
+}
+
 TEST_F(SnapshotFileTest, WriteReadRoundTrip) {
   const std::string path = Path("roundtrip.ldsnap");
   const std::vector<std::uint8_t> payload = {1, 2, 3, 4, 5, 250, 251, 252};
   ASSERT_TRUE(WriteSnapshotFile(path, payload).ok());
-  auto read = ReadSnapshotFile(path);
+  auto read = OpenFramedFile(path, kSnapshotFile);
   ASSERT_TRUE(read.ok()) << read.status().ToString();
-  EXPECT_EQ(*read, payload);
+  EXPECT_EQ(Bytes(read->payload), payload);
   std::filesystem::remove(path);
 }
 
@@ -102,7 +131,7 @@ TEST_F(SnapshotFileTest, TornFileIsRejected) {
   const std::vector<std::uint8_t> payload(100, 0x5A);
   ASSERT_TRUE(WriteSnapshotFile(path, payload).ok());
   std::filesystem::resize_file(path, 40);  // cut into the payload
-  auto read = ReadSnapshotFile(path);
+  auto read = OpenFramedFile(path, kSnapshotFile);
   EXPECT_FALSE(read.ok());
   std::filesystem::remove(path);
 }
@@ -116,7 +145,7 @@ TEST_F(SnapshotFileTest, BitFlipIsRejected) {
     f.seekp(50);
     f.put(static_cast<char>(0xA5));
   }
-  auto read = ReadSnapshotFile(path);
+  auto read = OpenFramedFile(path, kSnapshotFile);
   EXPECT_FALSE(read.ok());
   std::filesystem::remove(path);
 }
@@ -127,7 +156,7 @@ TEST_F(SnapshotFileTest, GarbageIsRejectedNotCrashed) {
     std::ofstream f(path, std::ios::binary);
     f << "this is not a snapshot at all";
   }
-  EXPECT_FALSE(ReadSnapshotFile(path).ok());
+  EXPECT_FALSE(OpenFramedFile(path, kSnapshotFile).ok());
   std::filesystem::remove(path);
 }
 
@@ -144,7 +173,7 @@ TEST(SnapshotStoreTest, FallsBackPastCorruptNewest) {
   std::filesystem::resize_file(store.PathFor(*gen2), 10);  // tear it
   auto loaded = store.LoadLatest();
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded->payload, old_payload);
+  EXPECT_EQ(Bytes(loaded->file.payload), old_payload);
   EXPECT_EQ(loaded->generation, *gen2 - 1);
   EXPECT_EQ(loaded->rejected, 1u);
   std::filesystem::remove_all(dir);
@@ -154,11 +183,10 @@ TEST_F(SnapshotFileTest, FingerprintRoundTripsThroughTheHeader) {
   const std::string path = Path("fingerprint.ldsnap");
   const std::vector<std::uint8_t> payload = {9, 8, 7};
   ASSERT_TRUE(WriteSnapshotFile(path, payload, 0xFEEDFACE12345678ull).ok());
-  std::uint64_t fingerprint = 0;
-  auto read = ReadSnapshotFile(path, &fingerprint);
+  auto read = OpenFramedFile(path, kSnapshotFile);
   ASSERT_TRUE(read.ok()) << read.status().ToString();
-  EXPECT_EQ(*read, payload);
-  EXPECT_EQ(fingerprint, 0xFEEDFACE12345678ull);
+  EXPECT_EQ(Bytes(read->payload), payload);
+  EXPECT_EQ(read->fingerprint, 0xFEEDFACE12345678ull);
   std::filesystem::remove(path);
 }
 
@@ -177,16 +205,16 @@ TEST(SnapshotStoreTest, MismatchedFingerprintIsRejectedLikeATornFile) {
 
   auto loaded = store.LoadLatest(/*expected_fingerprint=*/111);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded->payload, matching);
+  EXPECT_EQ(Bytes(loaded->file.payload), matching);
   EXPECT_EQ(loaded->generation, *gen2 - 1);
-  EXPECT_EQ(loaded->fingerprint, 111u);
+  EXPECT_EQ(loaded->file.fingerprint, 111u);
   EXPECT_EQ(loaded->rejected, 1u);
 
   // No expectation (0) loads the newest regardless of its stamp.
   auto any = store.LoadLatest();
   ASSERT_TRUE(any.ok());
-  EXPECT_EQ(any->payload, foreign);
-  EXPECT_EQ(any->fingerprint, 222u);
+  EXPECT_EQ(Bytes(any->file.payload), foreign);
+  EXPECT_EQ(any->file.fingerprint, 222u);
 
   // Nothing matches: NotFound, with both generations rejected.
   auto none = store.LoadLatest(/*expected_fingerprint=*/333);
@@ -200,7 +228,8 @@ TEST(SnapshotStoreTest, PrunesOldGenerations) {
   std::filesystem::remove_all(dir);
   SnapshotStore store(dir, /*keep_generations=*/2);
   for (int i = 0; i < 5; ++i) {
-    ASSERT_TRUE(store.Write({static_cast<std::uint8_t>(i)}).ok());
+    const std::vector<std::uint8_t> payload = {static_cast<std::uint8_t>(i)};
+    ASSERT_TRUE(store.Write(payload).ok());
   }
   EXPECT_EQ(store.Generations(), (std::vector<std::uint64_t>{4, 5}));
   std::filesystem::remove_all(dir);
@@ -245,22 +274,23 @@ TEST(SnapshotStoreTest, TwoConcurrentWriterProcessesNeverTearTheStore) {
   EXPECT_GE(generations.size(), 2u);
   auto latest = store.LoadLatest();
   ASSERT_TRUE(latest.ok()) << latest.status().ToString();
-  EXPECT_EQ(latest->payload.size(), 64u);
+  const std::vector<std::uint8_t> payload = Bytes(latest->file.payload);
+  EXPECT_EQ(payload.size(), 64u);
   // The payload must be wholly one writer's bytes — a generation
   // mixing both writers' data would mean the tmp files collided.
-  const std::uint8_t writer = latest->payload[1];
+  const std::uint8_t writer = payload[1];
   EXPECT_TRUE(writer == 0 || writer == 1);
-  for (std::size_t i = 2; i < latest->payload.size(); ++i) {
-    EXPECT_EQ(latest->payload[i], writer) << "torn payload at byte " << i;
+  for (std::size_t i = 2; i < payload.size(); ++i) {
+    EXPECT_EQ(payload[i], writer) << "torn payload at byte " << i;
   }
-  EXPECT_EQ(latest->fingerprint, 100u + writer);
+  EXPECT_EQ(latest->file.fingerprint, 100u + writer);
 
   // Fingerprint rejection still works in the shared dir: asking for one
   // writer's snapshots skips the other's (or reports NotFound if every
   // surviving generation is the other writer's).
   auto mine = store.LoadLatest(/*expected_fingerprint=*/100);
   if (mine.ok()) {
-    EXPECT_EQ(mine->fingerprint, 100u);
+    EXPECT_EQ(mine->file.fingerprint, 100u);
   } else {
     EXPECT_EQ(mine.status().code(), StatusCode::kNotFound);
   }
@@ -378,6 +408,28 @@ TEST_F(AnalyzerSnapshotTest, RestoreRejectsWrongGeometry) {
   StreamingAnalyzer b(small, LogDiverConfig{});
   SnapshotReader r(snapshot);
   EXPECT_FALSE(b.Restore(r).ok());
+}
+
+TEST_F(AnalyzerSnapshotTest, RestoreRejectsStreamStateV2) {
+  // Version 3 moved records to the columnar encoding; a version-2
+  // payload (row-wise records, written map keys) must be refused
+  // outright, not misparsed — resume then restarts from the raw logs.
+  StreamingAnalyzer a(*machine_, LogDiverConfig{});
+  const EmittedLogs& logs = campaign_->logs;
+  for (std::size_t i = 0; i < logs.alps.size() / 2; ++i) {
+    a.AddAlpsLine(logs.alps[i]);
+  }
+  std::vector<std::uint8_t> snapshot = TakeSnapshot(a);
+  SnapshotReader current(snapshot);
+  EXPECT_EQ(current.U32(), 3u);
+  const std::vector<std::uint8_t> v2 = {2, 0, 0, 0};
+  std::copy(v2.begin(), v2.end(), snapshot.begin());
+
+  StreamingAnalyzer b(*machine_, LogDiverConfig{});
+  SnapshotReader r(snapshot);
+  const Status restored = b.Restore(r);
+  EXPECT_EQ(restored.code(), StatusCode::kFailedPrecondition)
+      << restored.ToString();
 }
 
 TEST_F(AnalyzerSnapshotTest, QuarantineOverflowSurvivesRoundTrip) {

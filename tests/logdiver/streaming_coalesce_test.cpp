@@ -124,8 +124,8 @@ TEST_F(StreamingCoalesceTest, LoadStateRejectsLyingCountsWithoutThrowing) {
     w.U64(0);  // tuples
     w.U64(0);  // unresolved_locations
     w.U64(1);  // next id
-    w.U32(lie_in_open ? 0xFFFFFFFFu : 0);  // open count
-    if (!lie_in_open) w.U32(0xFFFFFFFFu);  // closed count
+    w.Varint(lie_in_open ? 0xFFFFFFFFu : 0);  // open tuple column rows
+    if (!lie_in_open) w.Varint(0xFFFFFFFFu);  // closed tuple column rows
     SnapshotReader r(w.bytes());
     StreamingCoalescer restored(machine_, CoalesceConfig{});
     EXPECT_NO_THROW(restored.LoadState(r));
