@@ -30,6 +30,9 @@
 #include <string>
 #include <vector>
 
+#include "common/obs/build_info.hpp"
+#include "common/obs/metrics.hpp"
+#include "common/obs/names.hpp"
 #include "logdiver/fleet/supervisor.hpp"
 #include "logdiver/snapshot.hpp"
 #include "logdiver/streaming.hpp"
@@ -321,63 +324,78 @@ int Run(bool quick) {
                 ok ? "ok" : "FAIL");
   }
 
-  // --- warm bundle cache: shards skip the text re-parse --------------
-  // Same fleet twice against a shared bundle-cache dir.  The cold run
-  // populates the cache (every worker either stores or hits an entry a
-  // sibling raced in first); the warm run must be all hits — no misses,
-  // no stores — and both merged reports must stay bit-identical to the
-  // serial baseline: the cache may only change *how fast* the answer
-  // arrives, never the answer.
+  // --- warm bundle cache: one parent-side claims load per run --------
+  // Same fleet twice against a shared bundle-cache dir.  The supervisor
+  // loads the bundle and its claims once, before forking, so the
+  // parent's own cache counters tell the whole story: the cold run
+  // misses and writes one claims entry, the warm run hits it once —
+  // and both merged reports stay bit-identical to the serial baseline:
+  // the cache may only change *how fast* the answer arrives.
   {
     LogDiverConfig cached_config = diver_config;
     cached_config.bundle_cache_dir = base + "/bundle_cache";
     const fleet::ShardSupervisor cached_supervisor(machine, cached_config);
+    struct CacheCounts {
+      std::uint64_t hits, misses, rejected, writes;
+    };
+    const auto counts = [] {
+      auto& registry = obs::Registry::Get();
+      return CacheCounts{
+          registry.GetCounter(obs::names::kCacheHitsTotal).Value(),
+          registry.GetCounter(obs::names::kCacheMissesTotal).Value(),
+          registry.GetCounter(obs::names::kCacheRejectedTotal).Value(),
+          registry.GetCounter(obs::names::kCacheWritesTotal).Value()};
+    };
+    const auto delta = [](const CacheCounts& a, const CacheCounts& b) {
+      return CacheCounts{b.hits - a.hits, b.misses - a.misses,
+                         b.rejected - a.rejected, b.writes - a.writes};
+    };
     const std::uint32_t shards = 4;
+    const CacheCounts before = counts();
     auto cold = cached_supervisor.Run(inputs, make_options(shards));
+    const CacheCounts between = counts();
     auto warm = cached_supervisor.Run(inputs, make_options(shards));
+    const CacheCounts cold_load = delta(before, between);
+    const CacheCounts warm_load = delta(between, counts());
     bool ok = cold.ok() && warm.ok();
     if (!ok) {
       std::fprintf(stderr, "  cache cell errored: %s\n",
                    (!cold.ok() ? cold : warm).status().ToString().c_str());
     }
+    const auto report = [](const char* run, const CacheCounts& c) {
+      std::fprintf(stderr,
+                   "  %s run: hits %llu misses %llu writes %llu "
+                   "rejected %llu\n",
+                   run, static_cast<unsigned long long>(c.hits),
+                   static_cast<unsigned long long>(c.misses),
+                   static_cast<unsigned long long>(c.writes),
+                   static_cast<unsigned long long>(c.rejected));
+    };
+    // A -DLOGDIVER_OBS=OFF build records no counters; only the report
+    // identity can be checked there.
+    const bool counted = obs::GetBuildInfo().obs_compiled_in;
     if (ok) {
       const bool cold_populates =
-          cold->cache_stores >= 1 && cold->cache_rejected == 0 &&
-          cold->cache_hits + cold->cache_misses == shards;
-      const bool warm_all_hits =
-          warm->cache_hits == shards && warm->cache_misses == 0 &&
-          warm->cache_stores == 0 && warm->cache_rejected == 0;
+          !counted || (cold_load.hits == 0 && cold_load.misses == 1 &&
+                       cold_load.writes == 1 && cold_load.rejected == 0);
+      const bool warm_one_hit =
+          !counted || (warm_load.hits == 1 && warm_load.misses == 0 &&
+                       warm_load.writes == 0 && warm_load.rejected == 0);
       const bool identical =
           FingerprintReport(cold->report) == want_report &&
           FingerprintReport(warm->report) == want_report &&
           cold->runs_finalized == want_runs &&
           warm->runs_finalized == want_runs;
-      if (!cold_populates) {
-        std::fprintf(stderr,
-                     "  cold run: hits %llu misses %llu stores %llu "
-                     "rejected %llu\n",
-                     static_cast<unsigned long long>(cold->cache_hits),
-                     static_cast<unsigned long long>(cold->cache_misses),
-                     static_cast<unsigned long long>(cold->cache_stores),
-                     static_cast<unsigned long long>(cold->cache_rejected));
-      }
-      if (!warm_all_hits) {
-        std::fprintf(stderr,
-                     "  warm run: hits %llu misses %llu stores %llu "
-                     "rejected %llu\n",
-                     static_cast<unsigned long long>(warm->cache_hits),
-                     static_cast<unsigned long long>(warm->cache_misses),
-                     static_cast<unsigned long long>(warm->cache_stores),
-                     static_cast<unsigned long long>(warm->cache_rejected));
-      }
+      if (!cold_populates) report("cold", cold_load);
+      if (!warm_one_hit) report("warm", warm_load);
       if (!identical) {
         std::fprintf(stderr, "  cache cell: merged report diverged from "
                              "serial baseline\n");
       }
-      ok = cold_populates && warm_all_hits && identical;
+      ok = cold_populates && warm_one_hit && identical;
     }
     all_passed = all_passed && ok;
-    std::printf("warm bundle cache: all-hit shards, bit-identical      %s\n",
+    std::printf("warm bundle cache: one parent claims load, identical  %s\n",
                 ok ? "ok" : "FAIL");
   }
 

@@ -30,6 +30,7 @@
 
 #include "analysis/scoring.hpp"
 #include "faults/corruptor.hpp"
+#include "logdiver/resume.hpp"
 #include "logdiver/snapshot.hpp"
 #include "logdiver/streaming.hpp"
 #include "simlog/scenario.hpp"
@@ -84,45 +85,6 @@ std::uint64_t EnvU64(const char* name, std::uint64_t fallback) {
   return std::strtoull(value, nullptr, 10);
 }
 
-/// Per-line claimed times of one source, in file order.  Lines that no
-/// longer parse (torn/garbled) carry the last claimed time of their
-/// source — a real shipper cannot drop what it cannot read.
-std::vector<TimePoint> ClaimedTimes(const std::vector<std::string>& lines,
-                                    int source, int year) {
-  std::vector<TimePoint> times;
-  times.reserve(lines.size());
-  TorqueParser torque;
-  AlpsParser alps;
-  HwerrParser hwerr;
-  TimePoint last;
-  for (const std::string& line : lines) {
-    switch (source) {
-      case 0: {
-        auto rec = torque.ParseLine(line);
-        if (rec.ok() && rec->has_value()) last = (*rec)->time;
-        break;
-      }
-      case 1: {
-        auto rec = alps.ParseLine(line);
-        if (rec.ok() && rec->has_value()) last = (*rec)->time;
-        break;
-      }
-      case 2: {
-        auto t = SyslogParser::ParseSyslogTime(line.substr(0, 15), year);
-        if (t.ok()) last = *t;
-        break;
-      }
-      default: {
-        auto rec = hwerr.ParseLine(line);
-        if (rec.ok() && rec->has_value()) last = (*rec)->time;
-        break;
-      }
-    }
-    times.push_back(last);
-  }
-  return times;
-}
-
 /// Streams the dirty bundle the way a live shipper would: each file is
 /// consumed strictly in file order, and the four tails are merged by the
 /// claimed time of their current heads.  Skewed or reordered files make
@@ -134,8 +96,16 @@ StreamingAnalyzer::Summary StreamDirty(const Machine& machine,
   StreamingAnalyzer analyzer(machine, LogDiverConfig{});
   const std::vector<std::string>* files[4] = {&logs.torque, &logs.alps,
                                               &logs.syslog, &logs.hwerr};
+  // Lines that no longer parse (torn/garbled) carry the last claimed
+  // time of their source — a real shipper cannot drop what it cannot
+  // read.
   std::vector<TimePoint> claimed[4];
-  for (int s = 0; s < 4; ++s) claimed[s] = ClaimedTimes(*files[s], s, 2013);
+  for (int s = 0; s < 4; ++s) {
+    ClaimedTracker tracker(LogDiverConfig{}.syslog_base_year);
+    for (const std::string& line : *files[s]) {
+      claimed[s].push_back(tracker.Claim(static_cast<LogSource>(s), line));
+    }
+  }
 
   std::size_t heads[4] = {0, 0, 0, 0};
   std::size_t since_advance = 0;

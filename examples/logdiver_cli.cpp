@@ -29,7 +29,11 @@
 // --threads N sets the parse thread count for the batch analyze path
 // (0 = auto: LOGDIVER_THREADS env, else hardware concurrency).  Results
 // are bit-identical at any thread count.  The streaming/--snapshot-dir
-// path is single-threaded by design and ignores it.
+// and fleet paths use it only to load the bundle; their replay is
+// single-threaded by design.
+//
+// Every path prints its report through one printer: the same tables,
+// the same --csv export and the same ingest-budget exit code.
 //
 //   With --fleet-workers N, analyze fans the bundle across N supervised
 //   worker processes (ownership-sharded by apid) and merges their
@@ -68,6 +72,45 @@ namespace {
 constexpr int kExitIngestBudget = 3;
 constexpr int kExitRestartsExhausted = 4;
 constexpr int kExitFleetBudget = 5;
+
+/// The one report printer of the batch, streaming and fleet paths:
+/// every report table, the CSV export when asked for, and the exit code
+/// (kExitIngestBudget when a fail-fast ingest budget tripped).
+int PrintReport(const ld::MetricsReport& report, const std::string& csv_dir,
+                const ld::Status& ingest_status) {
+  std::cout << "\n--- headline ---\n";
+  ld::PrintHeadline(std::cout, report);
+  std::cout << "\n--- outcomes ---\n";
+  ld::PrintOutcomeBreakdown(std::cout, report);
+  std::cout << "\n--- error categories ---\n";
+  ld::PrintCategoryTable(std::cout, report);
+  std::cout << "\n--- attribution ---\n";
+  ld::PrintAttributionTable(std::cout, report);
+  std::cout << "\n--- scale curves ---\n";
+  ld::PrintScaleCurve(std::cout, report.xe_scale, "XE");
+  ld::PrintScaleCurve(std::cout, report.xk_scale, "XK");
+  std::cout << "\n--- monthly ---\n";
+  ld::PrintMonthlySeries(std::cout, report);
+  std::cout << "\n--- queue waits ---\n";
+  ld::PrintQueueWaits(std::cout, report);
+  std::cout << "\n--- detection gap ---\n";
+  ld::PrintDetectionGap(std::cout, report);
+  if (!csv_dir.empty()) {
+    auto exported = ld::ExportMetricsCsv(report, csv_dir);
+    if (exported.ok()) {
+      std::cout << "\nexported " << *exported << " CSV series to " << csv_dir
+                << "\n";
+    } else {
+      std::cerr << "csv export failed: " << exported.status().ToString()
+                << "\n";
+    }
+  }
+  if (!ingest_status.ok()) {
+    std::cerr << "ingest budget tripped: " << ingest_status.ToString() << "\n";
+    return kExitIngestBudget;
+  }
+  return 0;
+}
 
 int Usage() {
   std::cerr << "usage:\n"
@@ -312,6 +355,7 @@ int main(int argc, char** argv) {
     }
     options.partial_dir = partial_dir;
     ld::LogDiverConfig fleet_config;
+    fleet_config.threads = threads;
     fleet_config.bundle_cache_dir = bundle_cache_dir;
     fleet_config.bundle_cache_max_bytes = bundle_cache_max_mb * 1024 * 1024;
     const ld::fleet::ShardSupervisor supervisor(machine, fleet_config);
@@ -328,30 +372,8 @@ int main(int argc, char** argv) {
     std::cout << fleet->coverage.Row() << "\n";
     std::cout << "fleet: " << fleet->runs_finalized << " runs finalized"
               << " across " << fleet->coverage.shards_merged << " shard(s)\n";
-    std::cout << "\n--- headline ---\n";
-    ld::PrintHeadline(std::cout, fleet->report);
-    std::cout << "\n--- outcomes ---\n";
-    ld::PrintOutcomeBreakdown(std::cout, fleet->report);
-    std::cout << "\n--- error categories ---\n";
-    ld::PrintCategoryTable(std::cout, fleet->report);
-    std::cout << "\n--- attribution ---\n";
-    ld::PrintAttributionTable(std::cout, fleet->report);
-    if (!csv_dir.empty()) {
-      auto exported = ld::ExportMetricsCsv(fleet->report, csv_dir);
-      if (exported.ok()) {
-        std::cout << "\nexported " << *exported << " CSV series to "
-                  << csv_dir << "\n";
-      } else {
-        std::cerr << "csv export failed: " << exported.status().ToString()
-                  << "\n";
-      }
-    }
-    if (!fleet->ingest_status.ok()) {
-      std::cerr << "ingest budget tripped: " << fleet->ingest_status.ToString()
-                << "\n";
-      return finish(kExitIngestBudget);
-    }
-    return finish(0);
+    return finish(
+        PrintReport(fleet->report, csv_dir, fleet->ingest_status));
   }
 
   if (mode == "analyze" && !snapshot_dir.empty()) {
@@ -372,6 +394,7 @@ int main(int argc, char** argv) {
       options.snapshot_dir = snapshot_dir;
       options.snapshot_interval = snapshot_interval;
       ld::LogDiverConfig stream_config;
+      stream_config.threads = threads;
       stream_config.bundle_cache_dir = bundle_cache_dir;
       stream_config.bundle_cache_max_bytes = bundle_cache_max_mb * 1024 * 1024;
       auto result = ld::RunResumableAnalysis(
@@ -395,30 +418,7 @@ int main(int argc, char** argv) {
       std::cout << "streamed " << result->total_lines << " lines, "
                 << summary.runs_finalized << " runs finalized, "
                 << result->snapshots_written << " snapshot(s) written\n";
-      std::cout << "\n--- headline ---\n";
-      ld::PrintHeadline(std::cout, summary.metrics);
-      std::cout << "\n--- outcomes ---\n";
-      ld::PrintOutcomeBreakdown(std::cout, summary.metrics);
-      std::cout << "\n--- error categories ---\n";
-      ld::PrintCategoryTable(std::cout, summary.metrics);
-      std::cout << "\n--- attribution ---\n";
-      ld::PrintAttributionTable(std::cout, summary.metrics);
-      if (!csv_dir.empty()) {
-        auto exported = ld::ExportMetricsCsv(summary.metrics, csv_dir);
-        if (exported.ok()) {
-          std::cout << "\nexported " << *exported << " CSV series to "
-                    << csv_dir << "\n";
-        } else {
-          std::cerr << "csv export failed: " << exported.status().ToString()
-                    << "\n";
-        }
-      }
-      if (!summary.ingest_status.ok()) {
-        std::cerr << "ingest budget tripped: "
-                  << summary.ingest_status.ToString() << "\n";
-        return kExitIngestBudget;
-      }
-      return 0;
+      return PrintReport(summary.metrics, csv_dir, summary.ingest_status);
     };
     const ld::CrashSupervisor::Outcome outcome =
         ld::CrashSupervisor::Run(child);
@@ -465,34 +465,7 @@ int main(int argc, char** argv) {
         break;
     }
     ld::PrintParseSummary(std::cout, *analysis);
-    std::cout << "\n--- headline ---\n";
-    ld::PrintHeadline(std::cout, analysis->metrics);
-    std::cout << "\n--- outcomes ---\n";
-    ld::PrintOutcomeBreakdown(std::cout, analysis->metrics);
-    std::cout << "\n--- error categories ---\n";
-    ld::PrintCategoryTable(std::cout, analysis->metrics);
-    std::cout << "\n--- attribution ---\n";
-    ld::PrintAttributionTable(std::cout, analysis->metrics);
-    std::cout << "\n--- scale curves ---\n";
-    ld::PrintScaleCurve(std::cout, analysis->metrics.xe_scale, "XE");
-    ld::PrintScaleCurve(std::cout, analysis->metrics.xk_scale, "XK");
-    std::cout << "\n--- monthly ---\n";
-    ld::PrintMonthlySeries(std::cout, analysis->metrics);
-    std::cout << "\n--- queue waits ---\n";
-    ld::PrintQueueWaits(std::cout, analysis->metrics);
-    std::cout << "\n--- detection gap ---\n";
-    ld::PrintDetectionGap(std::cout, analysis->metrics);
-
-    if (!csv_dir.empty()) {
-      auto exported = ld::ExportMetricsCsv(analysis->metrics, csv_dir);
-      if (exported.ok()) {
-        std::cout << "\nexported " << *exported << " CSV series to "
-                  << csv_dir << "\n";
-      } else {
-        std::cerr << "csv export failed: " << exported.status().ToString()
-                  << "\n";
-      }
-    }
+    const int code = PrintReport(analysis->metrics, csv_dir, ld::Status::Ok());
 
     const std::string truth_path = dir + "/ground_truth.csv";
     if (std::filesystem::exists(truth_path)) {
@@ -507,7 +480,7 @@ int main(int argc, char** argv) {
                   << "  cause accuracy: " << score.cause_accuracy << "\n";
       }
     }
-    return finish(0);
+    return finish(code);
   }
   return Usage();
 }

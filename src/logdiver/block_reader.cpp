@@ -66,7 +66,6 @@ Result<MappedFile> MappedFile::Open(const std::string& path) {
     file.map_ = map;
     file.size_ = size;
     ::close(fd);
-    LD_OBS_COUNTER_ADD(obs::names::kIngestBytesMappedTotal, size);
     return file;
   }
   LD_OBS_COUNTER_ADD(obs::names::kIngestMmapFallbackTotal, 1);

@@ -406,11 +406,13 @@ void BundleCache::EnforceCap() const {
     // unlink is atomic: a reader that already mapped the file keeps a
     // valid mapping; a later reader sees a clean miss.  A concurrent
     // writer can republish the name — that new entry is complete and
-    // valid, so the worst case is an extra eviction pass.
-    if (fs::remove(victim.path, rm_ec) && !rm_ec) {
-      total -= victim.size;
-      LD_OBS_COUNTER_ADD(obs::names::kCacheEvictedTotal, 1);
-    }
+    // valid, so the worst case is an extra eviction pass.  A victim a
+    // concurrent pass already removed is freed all the same; not
+    // counting it made two racing passes evict every entry.
+    const bool removed = fs::remove(victim.path, rm_ec);
+    if (rm_ec) continue;
+    total -= victim.size;
+    if (removed) LD_OBS_COUNTER_ADD(obs::names::kCacheEvictedTotal, 1);
   }
 }
 

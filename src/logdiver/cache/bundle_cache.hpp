@@ -10,10 +10,10 @@
 //                       plus an optional memoized AnalysisResult
 //                       section (keyed additionally by an
 //                       analysis-config + machine-geometry hash).
-//   claims-<fp>.ldpbc   Per-line claimed-time columns for the
-//                       streaming/fleet bundle loader (keyed by the
-//                       syslog base year), replacing the throwaway
-//                       re-parse in resume.cpp's ClaimedTimes.
+//   claims-<fp>.ldpbc   Per-line claimed-time columns for the replay
+//                       loader (resume.hpp LoadReplayInput; keyed by
+//                       the syslog base year), replacing the
+//                       ClaimedTracker pass over the whole bundle.
 //
 // Safety model (docs/FORMATS.md "Parsed-bundle cache"): every load
 // validates magic, format version, payload size, payload CRC-32, the
@@ -51,9 +51,12 @@ namespace ld::cache {
 /// memoized-result section: the AppRun/ErrorTuple columns that dominate
 /// entry size (ids, epochs, node lists) are stored as zigzag-varint
 /// deltas instead of fixed-width words (docs/FORMATS.md "Parsed-bundle
-/// cache v2").  v1 entries are rejected as stale — loudly, with the
-/// text-parse fallback — and rewritten in v2 on the next store.
-inline constexpr std::uint32_t kBundleCacheVersion = 2;
+/// cache v2").  Version 3 keeps that layout and retires claims entries
+/// whose syslog claims were pinned to the base year (docs/FORMATS.md
+/// "Parsed-bundle cache v3").  Older entries are rejected as stale —
+/// loudly, with the text-parse fallback — and rewritten on the next
+/// store.
+inline constexpr std::uint32_t kBundleCacheVersion = 3;
 /// The entry file kind: magic "LDPBCHE1", deliberately distinct from
 /// the snapshot magic — a checkpoint copied into a cache directory (or
 /// vice versa) must fail the very first header check.
@@ -61,12 +64,10 @@ inline constexpr FramedKind kBundleCacheFile{
     {'L', 'D', 'P', 'B', 'C', 'H', 'E', '1'}, kBundleCacheVersion};
 
 /// An FNV-style 64-bit hash (word-folded over line content for speed;
-/// bytewise framing) over the four line streams, with the framing
-/// resume.cpp's BundlePartitionFingerprint delegates to (per-source
-/// tag byte, line bytes + '\n', trailing shard-count mix, 0 remapped
-/// to 1) — computed from lines already in memory instead of
-/// re-reading the files, so the batch, streaming and fleet paths
-/// agree on a bundle's identity.  Not FNV-1a-64: its offset basis is
+/// bytewise framing) over the four line streams (per-source tag byte,
+/// line bytes + '\n', trailing shard-count mix, 0 remapped to 1) —
+/// computed by OpenBundle from the lines it already mapped, so the
+/// batch, streaming and fleet paths agree on a bundle's identity.  Not FNV-1a-64: its offset basis is
 /// 1469598103934665603, one digit short of FNV's 14695981039346656037.
 /// The values are persisted (snapshot/partial headers, cache file
 /// names), so the constant stays as it is; bundle_cache_test pins

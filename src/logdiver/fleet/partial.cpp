@@ -19,10 +19,6 @@ void SavePartialAggregates(SnapshotWriter& w, const PartialAggregates& p) {
   w.U64(p.coalesce_stats.unresolved_locations);
   SaveIngestStats(w, p.ingest);
   SaveStatus(w, p.ingest_status);
-  w.U64(p.cache_hits);
-  w.U64(p.cache_misses);
-  w.U64(p.cache_rejected);
-  w.U64(p.cache_stores);
   p.metrics.SaveState(w);
 }
 
@@ -52,10 +48,6 @@ Result<PartialAggregates> LoadPartialAggregates(
   p.coalesce_stats.unresolved_locations = r.U64();
   LoadIngestStats(r, p.ingest);
   p.ingest_status = LoadStatus(r);
-  p.cache_hits = r.U64();
-  p.cache_misses = r.U64();
-  p.cache_rejected = r.U64();
-  p.cache_stores = r.U64();
   p.metrics.LoadState(r);
   if (!r.ok()) return r.status();
   if (r.remaining() != 0) {

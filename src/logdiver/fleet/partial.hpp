@@ -5,7 +5,7 @@
 // header fingerprint — snapshot.hpp), so torn or bit-flipped partials
 // are rejected the same way torn checkpoints are.  The payload adds a
 // shard header (record version, shard index, shard count, the
-// bundle-partition fingerprint again) followed by the worker's
+// bundle fingerprint again) followed by the worker's
 // mergeable aggregates: its shard-filtered MetricsAccumulator plus the
 // bundle-wide stats every worker reproduces identically (parse/
 // coalesce/ingest counters, finalized-run counts).  The supervisor
@@ -26,18 +26,18 @@
 namespace ld::fleet {
 
 /// Payload-level record version; bump when the partial layout changes.
-/// Version 2 added the worker's claims-cache counters (hits / misses /
-/// rejections / stores), so the supervisor can see cache effectiveness
-/// without reaching into a dead child's obs registry.
-inline constexpr std::uint32_t kPartialRecordVersion = 2;
+/// Version 3 dropped v2's per-worker claims-cache counters: workers no
+/// longer load the bundle, the supervisor does, once.
+inline constexpr std::uint32_t kPartialRecordVersion = 3;
 
 /// Who computed this partial, over what input.
 struct PartialHeader {
   std::uint32_t record_version = kPartialRecordVersion;
   std::uint32_t shard_index = 0;
   std::uint32_t shard_count = 1;
-  /// BundlePartitionFingerprint(inputs, shard_count) — also stamped in
-  /// the file header, so mismatches are caught before payload parsing.
+  /// The bundle fingerprint (MappedBundle::fingerprint) — also stamped
+  /// in the file header, so mismatches are caught before payload
+  /// parsing.  The partition is checked by shard_count.
   std::uint64_t fingerprint = 0;
 };
 
@@ -56,14 +56,6 @@ struct PartialAggregates {
   CoalesceStats coalesce_stats;
   IngestStats ingest;
   Status ingest_status;
-  /// Claims-cache activity of this worker's bundle load (v2): whether a
-  /// warm shard actually skipped the claimed-time re-parse.  Summed —
-  /// not survivor-picked — by the supervisor: each worker loads the
-  /// bundle independently.
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
-  std::uint64_t cache_rejected = 0;
-  std::uint64_t cache_stores = 0;
   MetricsAccumulator metrics;
 
   explicit PartialAggregates(MetricsConfig metrics_config = {})

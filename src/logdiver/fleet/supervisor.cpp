@@ -21,6 +21,11 @@ namespace {
 namespace fs = std::filesystem;
 using Clock = ChildClock;
 
+/// Backoff before retry r (1-based): min(cap, base << (r-1)) plus jitter
+/// uniform in [0, base], from Rng(seed).Fork("shard-i/try-r").
+constexpr std::uint64_t kBackoffBaseMs = 5;
+constexpr std::uint64_t kBackoffCapMs = 250;
+
 std::string PartialPathFor(const FleetOptions& options, std::uint32_t shard) {
   char name[64];
   std::snprintf(name, sizeof(name), "partial-%04u.ldsnap", shard);
@@ -28,13 +33,13 @@ std::string PartialPathFor(const FleetOptions& options, std::uint32_t shard) {
 }
 
 /// Everything the forked worker does: arm injected faults, replay the
-/// bundle shard-filtered, write the partial, optionally corrupt it.
-/// Exit codes: 0 success, 1 internal error, 3 ingest budget tripped
-/// (an ordinary failure the supervisor must pass through, not retry).
+/// inherited bundle shard-filtered, write the partial, optionally
+/// corrupt it.  Exit codes: 0 success, 1 internal error, 3 ingest
+/// budget tripped (an ordinary failure the supervisor must pass
+/// through, not retry).
 int RunWorkerProcess(const Machine& machine, LogDiverConfig config,
-                     const StreamInputs& inputs, const FleetOptions& options,
-                     std::uint64_t fingerprint, std::uint32_t shard,
-                     int attempt) {
+                     const ReplayInput& input, const FleetOptions& options,
+                     std::uint32_t shard, int attempt) {
   const auto fault = options.faults.find(shard);
   if (fault != options.faults.end() &&
       (attempt == 0 || fault->second.persistent)) {
@@ -54,9 +59,7 @@ int RunWorkerProcess(const Machine& machine, LogDiverConfig config,
 
   config.shard = ShardSpec{shard, options.shard_count};
   StreamingAnalyzer analyzer(machine, config);
-  BundleLoadStats load_stats;
-  const auto total =
-      ReplayBundle(config, inputs, options.schedule, analyzer, &load_stats);
+  const auto total = ReplayBundle(input, ReplaySchedule{}, analyzer);
   if (!total.ok()) {
     std::fprintf(stderr, "[fleet] shard %u: %s\n", shard,
                  total.status().message().c_str());
@@ -67,7 +70,7 @@ int RunWorkerProcess(const Machine& machine, LogDiverConfig config,
   PartialAggregates partial(config.metrics);
   partial.header.shard_index = shard;
   partial.header.shard_count = options.shard_count;
-  partial.header.fingerprint = fingerprint;
+  partial.header.fingerprint = input.bundle.fingerprint;
   partial.runs_finalized = summary.runs_finalized;
   partial.unterminated_runs = summary.unterminated_runs;
   partial.orphan_terminations = summary.orphan_terminations;
@@ -78,10 +81,6 @@ int RunWorkerProcess(const Machine& machine, LogDiverConfig config,
   partial.coalesce_stats = summary.coalesce_stats;
   partial.ingest = summary.ingest;
   partial.ingest_status = summary.ingest_status;
-  partial.cache_hits = load_stats.cache_hits;
-  partial.cache_misses = load_stats.cache_misses;
-  partial.cache_rejected = load_stats.cache_rejected;
-  partial.cache_stores = load_stats.cache_stores;
   partial.metrics = analyzer.metrics_accumulator();
 
   const std::string path = PartialPathFor(options, shard);
@@ -158,12 +157,12 @@ Result<FleetSummary> ShardSupervisor::Run(const StreamInputs& inputs,
     return InternalError("fleet: cannot create " + options.partial_dir +
                          ": " + ec.message());
   }
-  LD_ASSIGN_OR_RETURN(
-      const std::uint64_t fingerprint,
-      BundlePartitionFingerprint(inputs, options.shard_count));
-
-  const std::uint32_t max_workers =
-      options.max_workers == 0 ? options.shard_count : options.max_workers;
+  // The one bundle load of the fleet: workers inherit the mapped lines
+  // and claims through fork and read nothing themselves.  The loader's
+  // pool is gone by the time it returns, so no thread is forked.
+  LD_ASSIGN_OR_RETURN(const ReplayInput input,
+                      LoadReplayInput(config_, inputs));
+  const std::uint64_t fingerprint = input.bundle.fingerprint;
   const Rng jitter_root(options.seed);
 
   std::vector<ShardState> shards(options.shard_count);
@@ -175,13 +174,6 @@ Result<FleetSummary> ShardSupervisor::Run(const StreamInputs& inputs,
   // *ordinary* (non-crash) failure carries an error retries cannot fix.
   Status abort_status;
   std::uint32_t dropped_count = 0;
-
-  auto running_count = [&shards] {
-    return static_cast<std::uint32_t>(std::count_if(
-        shards.begin(), shards.end(), [](const ShardState& s) {
-          return s.phase == ShardState::Phase::kRunning;
-        }));
-  };
 
   // Retries exhausted for shard i: drop it and decide whether the fleet
   // can continue.  kFailFast aborts on the first drop; the degrade
@@ -213,14 +205,14 @@ Result<FleetSummary> ShardSupervisor::Run(const StreamInputs& inputs,
     }
     const std::uint64_t retry = static_cast<std::uint64_t>(s.out.attempts);
     const std::uint64_t base =
-        std::min(options.backoff_cap_ms,
-                 options.backoff_base_ms << std::min<std::uint64_t>(
+        std::min(kBackoffCapMs,
+                 kBackoffBaseMs << std::min<std::uint64_t>(
                      retry > 0 ? retry - 1 : 0, 20));
     Rng jitter = jitter_root.Fork(
         "shard-" + std::to_string(s.out.shard_index) + "/try-" +
         std::to_string(retry));
     const std::uint64_t delay =
-        base + jitter.UniformInt(options.backoff_base_ms + 1);
+        base + jitter.UniformInt(kBackoffBaseMs + 1);
     s.out.backoff_ms.push_back(delay);
     s.retry_at = Clock::now() + std::chrono::milliseconds(delay);
     s.phase = ShardState::Phase::kBackoff;
@@ -234,8 +226,7 @@ Result<FleetSummary> ShardSupervisor::Run(const StreamInputs& inputs,
     auto partial = ReadPartialFile(PartialPathFor(options, s.out.shard_index),
                                    config_.metrics);
     if (partial.ok() && partial->header.fingerprint != fingerprint) {
-      partial = ParseError("partial fingerprints a different bundle "
-                           "partition");
+      partial = ParseError("partial fingerprints a different bundle");
     }
     if (partial.ok() && (partial->header.shard_index != s.out.shard_index ||
                          partial->header.shard_count !=
@@ -257,17 +248,17 @@ Result<FleetSummary> ShardSupervisor::Run(const StreamInputs& inputs,
     bool all_resolved = true;
     const Clock::time_point now = Clock::now();
 
-    // Launch phase: fill free worker slots in shard-index order.
+    // Launch phase: start every pending shard and every retry whose
+    // backoff has passed, in shard-index order.
     for (ShardState& s : shards) {
-      if (running_count() >= max_workers) break;
       const bool launchable =
           s.phase == ShardState::Phase::kPending ||
           (s.phase == ShardState::Phase::kBackoff && now >= s.retry_at);
       if (!launchable) continue;
       const int attempt = s.out.attempts++;
       const auto pid = SpawnChild([&, attempt, shard = s.out.shard_index] {
-        return RunWorkerProcess(machine_, config_, inputs, options,
-                                fingerprint, shard, attempt);
+        return RunWorkerProcess(machine_, config_, input, options, shard,
+                                attempt);
       });
       if (!pid.ok()) {
         // Abort through abort_status (not an early return) so the
@@ -353,12 +344,6 @@ Result<FleetSummary> ShardSupervisor::Run(const StreamInputs& inputs,
     }
     ++summary.coverage.shards_merged;
     merged.MergeFrom(s.partial->metrics);
-    // Cache counters are per-worker facts (each worker loads the
-    // bundle itself), so they sum instead of taking the survivor's.
-    summary.cache_hits += s.partial->cache_hits;
-    summary.cache_misses += s.partial->cache_misses;
-    summary.cache_rejected += s.partial->cache_rejected;
-    summary.cache_stores += s.partial->cache_stores;
     if (first_survivor == nullptr) first_survivor = &s;
   }
   if (first_survivor == nullptr) {

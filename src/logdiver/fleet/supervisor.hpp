@@ -2,9 +2,11 @@
 // bundle analysis across N worker processes and merges their partial
 // aggregates back into one MetricsReport.
 //
-// Partitioning is SPMD ownership, not input splitting: every worker
-// replays the *whole* bundle with the deterministic schedule of the
-// serial analyzer (resume.hpp ReplayBundle), so parsing, coalescing and
+// Partitioning is SPMD ownership, not input splitting: the supervisor
+// loads the bundle and its claimed times once (resume.hpp
+// LoadReplayInput) before forking, and every worker replays that
+// inherited copy whole with the deterministic schedule of the serial
+// analyzer (resume.hpp ReplayBundle), so parsing, coalescing and
 // classification context are bit-identical everywhere; each worker only
 // folds its owned runs (`apid % shard_count`) and tuples
 // (`id % shard_count`) into its MetricsAccumulator (ShardSpec,
@@ -23,7 +25,8 @@
 //   * containment — workers are separate processes; a fault costs one
 //     shard attempt, never the fleet;
 //   * recovery — bounded retries with exponential backoff + jitter
-//     (deterministic under FleetOptions::seed), SIGKILL escalation for
+//     (5 ms base, 250 ms cap; deterministic under FleetOptions::seed),
+//     SIGKILL escalation for
 //     hangs, and a per-fleet failure budget deciding between fail-fast
 //     and degrade-and-annotate (the report ships with a coverage row
 //     naming dropped shards, mirroring the quarantine philosophy).
@@ -59,11 +62,9 @@ struct FaultPlan {
 };
 
 struct FleetOptions {
-  /// Ownership partitions; also the worker count unless max_workers
-  /// caps it.  1 is legal (a fleet of one, still fault-supervised).
+  /// Ownership partitions, one worker process each.  1 is legal (a
+  /// fleet of one, still fault-supervised).
   std::uint32_t shard_count = 4;
-  /// Concurrent worker processes; 0 = shard_count.
-  std::uint32_t max_workers = 0;
   /// Wall-clock budget per shard attempt before SIGKILL escalation.
   std::uint64_t shard_timeout_ms = 120000;
   /// Total attempts per shard (first try + retries).
@@ -79,15 +80,8 @@ struct FleetOptions {
   /// Seed for retry jitter; the whole backoff schedule is a
   /// deterministic function of (seed, shard, attempt).
   std::uint64_t seed = 1;
-  /// Backoff before retry r (1-based): min(cap, base << (r-1)) plus
-  /// jitter uniform in [0, base], from Rng(seed).Fork("shard-i/try-r").
-  std::uint64_t backoff_base_ms = 5;
-  std::uint64_t backoff_cap_ms = 250;
   /// Directory for partial-snapshot files (created if needed).
   std::string partial_dir;
-  /// Replay schedule; must stay at the defaults for bit-identity with
-  /// the serial analyzer (see ReplaySchedule).
-  ReplaySchedule schedule;
   /// Test-only fault injection, keyed by shard index.
   std::map<std::uint32_t, FaultPlan> faults;
 };
@@ -133,13 +127,6 @@ struct FleetSummary {
   CoalesceStats coalesce_stats;
   Status ingest_status;
   std::uint64_t bundle_fingerprint = 0;
-  /// Claims-cache activity summed over merged shards (each worker loads
-  /// the bundle independently, so a warm fleet shows hits ≈ shard
-  /// count).  Zero across the board when no bundle_cache_dir is set.
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
-  std::uint64_t cache_rejected = 0;
-  std::uint64_t cache_stores = 0;
   FleetCoverage coverage;
   std::vector<ShardOutcome> shards;  // one per shard, index order
 };

@@ -91,6 +91,37 @@ Result<std::vector<std::string>> ReadRotatedLines(const std::string& base) {
   return lines;
 }
 
+Result<MappedBundle> OpenBundle(const StreamInputs& inputs, ThreadPool* pool,
+                                bool fingerprint) {
+  LD_OBS_SPAN("load_bundle");
+  MappedBundle bundle;
+  std::uint64_t bytes = 0;
+  const auto load = [&bundle, &bytes, pool](
+                        const std::string& base,
+                        std::vector<std::string_view>* out) -> Status {
+    LD_ASSIGN_OR_RETURN(const auto segments, RotationSegments(base));
+    for (const std::string& path : segments) {
+      LD_OBS_SPAN_DYN("load/" + path);
+      LD_ASSIGN_OR_RETURN(MappedFile file, MappedFile::Open(path));
+      const std::vector<std::string_view> lines =
+          SplitLinesParallel(file.data(), pool);
+      out->insert(out->end(), lines.begin(), lines.end());
+      bytes += file.size();
+      bundle.mappings.push_back(std::move(file));
+    }
+    return Status::Ok();
+  };
+  LD_TRY(load(inputs.torque_path, &bundle.views.torque));
+  LD_TRY(load(inputs.alps_path, &bundle.views.alps));
+  LD_TRY(load(inputs.syslog_path, &bundle.views.syslog));
+  if (std::filesystem::exists(inputs.hwerr_path)) {
+    LD_TRY(load(inputs.hwerr_path, &bundle.views.hwerr));
+  }
+  LD_OBS_COUNTER_ADD(obs::names::kIngestBytesMappedTotal, bytes);
+  if (fingerprint) bundle.fingerprint = cache::LinesFingerprint(bundle.views, 0);
+  return bundle;
+}
+
 LogSetView::LogSetView(const LogSet& logs)
     : torque(LineViews(logs.torque)),
       alps(LineViews(logs.alps)),
@@ -338,35 +369,10 @@ Result<AnalysisResult> LogDiver::AnalyzeBundle(const std::string& dir) const {
     pool = &*pool_storage;
   }
 
-  // Map every segment and keep the mappings alive across the analysis:
-  // the line views (and the quarantine/record fields parsers keep as
-  // views nowhere — they copy) alias the mapped bytes.
-  std::vector<MappedFile> mappings;
-  LogSetView views;
-  const auto load = [&mappings, pool](const std::string& base,
-                                      std::vector<std::string_view>* out)
-      -> Status {
-    LD_ASSIGN_OR_RETURN(const auto segments, RotationSegments(base));
-    for (const std::string& path : segments) {
-      LD_OBS_SPAN_DYN("load/" + path);
-      LD_ASSIGN_OR_RETURN(MappedFile file, MappedFile::Open(path));
-      const std::vector<std::string_view> lines =
-          SplitLinesParallel(file.data(), pool);
-      out->insert(out->end(), lines.begin(), lines.end());
-      mappings.push_back(std::move(file));
-    }
-    return Status::Ok();
-  };
-
-  {
-    LD_OBS_SPAN("load_bundle");
-    LD_TRY(load(dir + "/torque.log", &views.torque));
-    LD_TRY(load(dir + "/alps.log", &views.alps));
-    LD_TRY(load(dir + "/syslog.log", &views.syslog));
-    if (std::filesystem::exists(dir + "/hwerr.log")) {
-      LD_TRY(load(dir + "/hwerr.log", &views.hwerr));
-    }
-  }
+  LD_ASSIGN_OR_RETURN(
+      const MappedBundle bundle,
+      OpenBundle(StreamInputs::FromBundleDir(dir), pool, /*fingerprint=*/false));
+  const LogSetView& views = bundle.views;
   if (config_.bundle_cache_dir.empty()) return AnalyzeWith(views, pool);
 
   // Parsed-bundle cache (src/logdiver/cache).  A full hit returns the

@@ -24,6 +24,7 @@
 
 #include "common/status.hpp"
 #include "logdiver/alps_parser.hpp"
+#include "logdiver/block_reader.hpp"
 #include "logdiver/coalesce.hpp"
 #include "logdiver/columns.hpp"
 #include "logdiver/correlate.hpp"
@@ -203,8 +204,39 @@ class LogDiver {
   LogDiverConfig config_;
 };
 
-/// Reads a whole text file into lines (shared by the bundle loader and
-/// the examples).
+/// The four log files of a bundle.  Each path is the base of a
+/// logrotate family (`alps.log` also covers `alps.log.1`, ...).
+struct StreamInputs {
+  std::string torque_path;
+  std::string alps_path;
+  std::string syslog_path;
+  std::string hwerr_path;
+  /// Convenience: the standard bundle layout under `dir`.
+  static StreamInputs FromBundleDir(const std::string& dir) {
+    return {dir + "/torque.log", dir + "/alps.log", dir + "/syslog.log",
+            dir + "/hwerr.log"};
+  }
+};
+
+/// A bundle in memory: zero-copy line views into the file mappings,
+/// which live as long as this object (moving it keeps the views valid).
+struct MappedBundle {
+  std::vector<MappedFile> mappings;
+  LogSetView views;
+  /// cache::LinesFingerprint(views, 0) — the bundle identity the cache,
+  /// snapshots and partials agree on; 0 when not requested.
+  std::uint64_t fingerprint = 0;
+};
+
+/// The one bundle loader, shared by batch, resume, replay and the fleet.
+/// Maps each source's rotation family oldest-first and splits it into
+/// lines on `pool` (inline when null).  A missing hwerr family reads as
+/// empty (the source is optional); the other three are required.  Adds
+/// the loaded bytes to ld.ingest.bytes_mapped_total.
+Result<MappedBundle> OpenBundle(const StreamInputs& inputs, ThreadPool* pool,
+                                bool fingerprint = true);
+
+/// Reads a whole text file into owning lines.
 Result<std::vector<std::string>> ReadLines(const std::string& path);
 
 /// Reads a logrotate family oldest-first: base.N ... base.2, base.1,

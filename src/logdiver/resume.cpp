@@ -2,161 +2,25 @@
 
 #include <chrono>
 #include <cstdio>
+#include <optional>
 #include <vector>
 
 #include "common/child_process.hpp"
 #include "common/crashpoint.hpp"
 #include "common/obs/obs.hpp"
-#include "logdiver/cache/bundle_cache.hpp"
-#include "logdiver/logdiver.hpp"
+#include "common/parallel.hpp"
 #include "logdiver/snapshot.hpp"
 
 namespace ld {
 namespace {
 
-/// Resume payload layout: the per-source replay offsets wrap the
-/// analyzer state (docs/FORMATS.md "snapshot — analyzer checkpoint
-/// files").
-constexpr std::uint32_t kResumeStateVersion = 1;
-
-/// Per-line claimed times of one source, in file order.  Lines that do
-/// not parse carry the last claimed time of their source — a real
-/// shipper cannot drop what it cannot read.  Recomputed from line zero
-/// on every (re)start with throwaway parsers, so the merge order never
-/// depends on restored state.
-std::vector<TimePoint> ClaimedTimes(const std::vector<std::string>& lines,
-                                    LogSource source, int base_year) {
-  std::vector<TimePoint> times;
-  times.reserve(lines.size());
-  TorqueParser torque;
-  AlpsParser alps;
-  HwerrParser hwerr;
-  TimePoint last;
-  for (const std::string& line : lines) {
-    switch (source) {
-      case LogSource::kTorque: {
-        auto rec = torque.ParseLine(line);
-        if (rec.ok() && rec->has_value()) last = (*rec)->time;
-        break;
-      }
-      case LogSource::kAlps: {
-        auto rec = alps.ParseLine(line);
-        if (rec.ok() && rec->has_value()) last = (*rec)->time;
-        break;
-      }
-      case LogSource::kSyslog: {
-        if (line.size() >= 15) {
-          auto t = SyslogParser::ParseSyslogTime(line.substr(0, 15),
-                                                 base_year);
-          if (t.ok()) last = *t;
-        }
-        break;
-      }
-      case LogSource::kHwerr: {
-        auto rec = hwerr.ParseLine(line);
-        if (rec.ok() && rec->has_value()) last = (*rec)->time;
-        break;
-      }
-    }
-    times.push_back(last);
-  }
-  return times;
-}
-
-/// LinesFingerprint over the four sources' lines as read from disk.
-std::uint64_t FingerprintLines(
-    const std::vector<std::string> (&lines)[kNumLogSources],
-    std::uint32_t shard_count) {
-  LogSetView views;
-  std::vector<std::string_view>* view_cols[kNumLogSources] = {
-      &views.torque, &views.alps, &views.syslog, &views.hwerr};
-  for (std::size_t s = 0; s < kNumLogSources; ++s) {
-    view_cols[s]->assign(lines[s].begin(), lines[s].end());
-  }
-  return cache::LinesFingerprint(views, shard_count);
-}
-
-/// The four sources of a bundle, loaded into memory with their per-line
-/// claimed times — everything the deterministic merge loop needs.
-struct LoadedBundle {
-  std::vector<std::string> lines[kNumLogSources];
-  std::vector<TimePoint> claimed[kNumLogSources];
-  /// LinesFingerprint(lines, 0); computed only when the caller asks for
-  /// it or the claims cache needs it (0 otherwise).
-  std::uint64_t fingerprint = 0;
-};
-
-/// Reads the bundle once.  `want_fingerprint` hashes the lines already
-/// in memory (the claims cache hashes them anyway); fleet workers, who
-/// get their fingerprint from the supervisor, pass false and, without a
-/// cache directory, pay no hash pass.
-Result<LoadedBundle> LoadBundle(const StreamInputs& inputs,
-                                const LogDiverConfig& config,
-                                bool want_fingerprint,
-                                BundleLoadStats* stats = nullptr) {
-  BundleLoadStats local_stats;
-  if (stats == nullptr) stats = &local_stats;
-  LoadedBundle bundle;
-  const std::string* paths[kNumLogSources] = {
-      &inputs.torque_path, &inputs.alps_path, &inputs.syslog_path,
-      &inputs.hwerr_path};
-  for (std::size_t s = 0; s < kNumLogSources; ++s) {
-    LD_ASSIGN_OR_RETURN(bundle.lines[s], ReadLines(*paths[s]));
-  }
-  const int base_year = config.syslog_base_year;
-  if (want_fingerprint || !config.bundle_cache_dir.empty()) {
-    bundle.fingerprint = FingerprintLines(bundle.lines, 0);
-  }
-  if (config.bundle_cache_dir.empty()) {
-    for (std::size_t s = 0; s < kNumLogSources; ++s) {
-      bundle.claimed[s] = ClaimedTimes(bundle.lines[s],
-                                       static_cast<LogSource>(s), base_year);
-    }
-    return bundle;
-  }
-
-  // Claimed-time cache: the throwaway re-parse above is pure overhead on
-  // a bundle this process family has already seen.  Keyed by the same
-  // lines fingerprint as the snapshot headers (shard_count 0: claims are
-  // partition-independent), so every fleet worker shares one entry.
-  const cache::BundleCache bundle_cache(config.bundle_cache_dir,
-                                        config.bundle_cache_max_bytes);
-  std::array<std::size_t, kNumLogSources> line_counts{};
-  for (std::size_t s = 0; s < kNumLogSources; ++s) {
-    line_counts[s] = bundle.lines[s].size();
-  }
-  const std::uint64_t fingerprint = bundle.fingerprint;
-  auto claims = bundle_cache.LoadClaims(fingerprint, base_year, line_counts);
-  if (claims.ok()) {
-    ++stats->cache_hits;
-    for (std::size_t s = 0; s < kNumLogSources; ++s) {
-      bundle.claimed[s] = std::move((*claims)[s]);
-    }
-    return bundle;
-  }
-  if (claims.status().code() != StatusCode::kNotFound) {
-    // Rejected entry (torn/stale/foreign): fall back loudly, never
-    // silently — the reparse below restores correctness either way.
-    ++stats->cache_rejected;
-    std::fprintf(stderr, "logdiver: %s\n",
-                 claims.status().message().c_str());
-  } else {
-    ++stats->cache_misses;
-  }
-  cache::ClaimedColumns fresh;
-  for (std::size_t s = 0; s < kNumLogSources; ++s) {
-    bundle.claimed[s] = ClaimedTimes(bundle.lines[s],
-                                     static_cast<LogSource>(s), base_year);
-    fresh[s] = bundle.claimed[s];
-  }
-  const Status stored =
-      bundle_cache.StoreClaims(fingerprint, base_year, fresh);
-  if (!stored.ok()) {
-    std::fprintf(stderr, "logdiver: %s\n", stored.message().c_str());
-  } else {
-    ++stats->cache_stores;
-  }
-  return bundle;
+/// The four line columns of `views`, in LogSource order.
+void SourceLines(const LogSetView& views,
+                 const std::vector<std::string_view>* (&out)[kNumLogSources]) {
+  out[0] = &views.torque;
+  out[1] = &views.alps;
+  out[2] = &views.syslog;
+  out[3] = &views.hwerr;
 }
 
 /// The deterministic merge-replay loop shared by the resumable path and
@@ -165,23 +29,25 @@ Result<LoadedBundle> LoadBundle(const StreamInputs& inputs,
 /// total-line schedule.  `heads`/`total` carry restored offsets in and
 /// final positions out; `on_line` (optional) runs after every consumed
 /// line — the resumable path hangs its snapshot schedule there.
-void ReplayLoop(const LoadedBundle& bundle, StreamingAnalyzer& analyzer,
+void ReplayLoop(const ReplayInput& input, StreamingAnalyzer& analyzer,
                 const ReplaySchedule& schedule,
                 std::uint64_t heads[kNumLogSources], std::uint64_t& total,
                 const std::function<Status(std::uint64_t total)>& on_line,
                 Status& status) {
+  const auto& claimed = input.claimed;
+  const std::vector<std::string_view>* lines[kNumLogSources];
+  SourceLines(input.bundle.views, lines);
   for (;;) {
     int pick = -1;
     for (std::size_t s = 0; s < kNumLogSources; ++s) {
-      if (heads[s] >= bundle.lines[s].size()) continue;
-      if (pick < 0 ||
-          bundle.claimed[s][heads[s]] < bundle.claimed[pick][heads[pick]]) {
+      if (heads[s] >= lines[s]->size()) continue;
+      if (pick < 0 || claimed[s][heads[s]] < claimed[pick][heads[pick]]) {
         pick = static_cast<int>(s);
       }
     }
     if (pick < 0) break;
-    const std::string& line = bundle.lines[pick][heads[pick]];
-    const TimePoint time = bundle.claimed[pick][heads[pick]];
+    const std::string_view line = (*lines[pick])[heads[pick]];
+    const TimePoint time = claimed[pick][heads[pick]];
     ++heads[pick];
     ++total;
     switch (static_cast<LogSource>(pick)) {
@@ -203,44 +69,127 @@ void ReplayLoop(const LoadedBundle& bundle, StreamingAnalyzer& analyzer,
 
 }  // namespace
 
-Result<std::uint64_t> BundlePartitionFingerprint(const StreamInputs& inputs,
-                                                 std::uint32_t shard_count) {
-  // Delegates to the parsed-bundle cache's in-memory fingerprint so the
-  // snapshot headers and the cache entries can never disagree about a
-  // bundle's identity.
-  const std::string* paths[kNumLogSources] = {
-      &inputs.torque_path, &inputs.alps_path, &inputs.syslog_path,
-      &inputs.hwerr_path};
-  std::vector<std::string> lines[kNumLogSources];
-  for (std::size_t s = 0; s < kNumLogSources; ++s) {
-    LD_ASSIGN_OR_RETURN(lines[s], ReadLines(*paths[s]));
+TimePoint ClaimedTracker::Claim(LogSource source, std::string_view line) {
+  TimePoint& carry = carry_[static_cast<std::size_t>(source)];
+  switch (source) {
+    case LogSource::kTorque: {
+      auto rec = torque_.ParseLine(line);
+      if (rec.ok() && rec->has_value()) carry = (*rec)->time;
+      break;
+    }
+    case LogSource::kAlps: {
+      auto rec = alps_.ParseLine(line);
+      if (rec.ok() && rec->has_value()) carry = (*rec)->time;
+      break;
+    }
+    case LogSource::kSyslog: {
+      auto t = SyslogParser::ClaimTime(line, carry, syslog_base_year_);
+      if (t.ok()) carry = *t;
+      break;
+    }
+    case LogSource::kHwerr: {
+      auto rec = hwerr_.ParseLine(line);
+      if (rec.ok() && rec->has_value()) carry = (*rec)->time;
+      break;
+    }
   }
-  return FingerprintLines(lines, shard_count);
+  return carry;
+}
+
+void ClaimedTracker::SetCarry(LogSource source, TimePoint claimed) {
+  carry_[static_cast<std::size_t>(source)] = claimed;
+}
+
+Result<ReplayInput> LoadReplayInput(const LogDiverConfig& config,
+                                    const StreamInputs& inputs) {
+  const int threads = ResolveThreadCount(config.threads);
+  std::optional<ThreadPool> pool_storage;
+  if (threads > 1) pool_storage.emplace(threads);
+  ThreadPool* pool = pool_storage ? &*pool_storage : nullptr;
+
+  ReplayInput input;
+  LD_ASSIGN_OR_RETURN(input.bundle, OpenBundle(inputs, pool));
+  const std::vector<std::string_view>* lines[kNumLogSources];
+  SourceLines(input.bundle.views, lines);
+  const std::uint64_t fingerprint = input.bundle.fingerprint;
+  const int base_year = config.syslog_base_year;
+
+  // Claims cache: the claiming re-parse is pure overhead on a bundle
+  // this process family has already seen.  Keyed by the bundle
+  // fingerprint (claims are partition-independent) and the base year.
+  std::optional<cache::BundleCache> bundle_cache;
+  if (!config.bundle_cache_dir.empty()) {
+    bundle_cache.emplace(config.bundle_cache_dir,
+                         config.bundle_cache_max_bytes);
+    std::array<std::size_t, kNumLogSources> line_counts{};
+    for (std::size_t s = 0; s < kNumLogSources; ++s) {
+      line_counts[s] = lines[s]->size();
+    }
+    auto claims = bundle_cache->LoadClaims(fingerprint, base_year, line_counts);
+    if (claims.ok()) {
+      input.claimed = std::move(*claims);
+      return input;
+    }
+    if (claims.status().code() != StatusCode::kNotFound) {
+      // Rejected entry (torn/stale/foreign): fall back loudly, never
+      // silently — the claiming pass below restores correctness.
+      std::fprintf(stderr, "logdiver: %s\n",
+                   claims.status().message().c_str());
+    }
+  }
+  {
+    LD_OBS_SPAN("claims");
+    TaskGroup group(pool);
+    for (std::size_t s = 0; s < kNumLogSources; ++s) {
+      group.Run([&input, &lines, s, base_year] {
+        ClaimedTracker tracker(base_year);
+        const auto source = static_cast<LogSource>(s);
+        std::vector<TimePoint>& column = input.claimed[s];
+        column.reserve(lines[s]->size());
+        for (const std::string_view line : *lines[s]) {
+          column.push_back(tracker.Claim(source, line));
+        }
+      });
+    }
+    group.Wait();
+  }
+  if (bundle_cache) {
+    const Status stored =
+        bundle_cache->StoreClaims(fingerprint, base_year, input.claimed);
+    if (!stored.ok()) {
+      std::fprintf(stderr, "logdiver: %s\n", stored.message().c_str());
+    }
+  }
+  return input;
+}
+
+Result<std::uint64_t> ReplayBundle(const ReplayInput& input,
+                                   const ReplaySchedule& schedule,
+                                   StreamingAnalyzer& analyzer) {
+  std::uint64_t heads[kNumLogSources] = {0, 0, 0, 0};
+  std::uint64_t total = 0;
+  Status status;
+  ReplayLoop(input, analyzer, schedule, heads, total, nullptr, status);
+  LD_TRY(status);
+  return total;
 }
 
 Result<std::uint64_t> ReplayBundle(const LogDiverConfig& config,
                                    const StreamInputs& inputs,
                                    const ReplaySchedule& schedule,
-                                   StreamingAnalyzer& analyzer,
-                                   BundleLoadStats* load_stats) {
-  LD_ASSIGN_OR_RETURN(
-      const LoadedBundle bundle,
-      LoadBundle(inputs, config, /*want_fingerprint=*/false, load_stats));
-  std::uint64_t heads[kNumLogSources] = {0, 0, 0, 0};
-  std::uint64_t total = 0;
-  Status status;
-  ReplayLoop(bundle, analyzer, schedule, heads, total, nullptr, status);
-  LD_TRY(status);
-  return total;
+                                   StreamingAnalyzer& analyzer) {
+  LD_ASSIGN_OR_RETURN(const ReplayInput input,
+                      LoadReplayInput(config, inputs));
+  return ReplayBundle(input, schedule, analyzer);
 }
 
 Result<ResumableSummary> RunResumableAnalysis(const Machine& machine,
                                               const LogDiverConfig& config,
                                               const StreamInputs& inputs,
                                               const ResumeOptions& options) {
-  LD_ASSIGN_OR_RETURN(const LoadedBundle bundle,
-                      LoadBundle(inputs, config, /*want_fingerprint=*/true));
-  const std::uint64_t fingerprint = bundle.fingerprint;
+  LD_ASSIGN_OR_RETURN(const ReplayInput input,
+                      LoadReplayInput(config, inputs));
+  const std::uint64_t fingerprint = input.bundle.fingerprint;
 
   StreamingAnalyzer analyzer(machine, config);
   ResumableSummary out;
@@ -249,7 +198,7 @@ Result<ResumableSummary> RunResumableAnalysis(const Machine& machine,
 
   const bool snapshots_enabled =
       !options.snapshot_dir.empty() && options.snapshot_interval != 0;
-  SnapshotStore store(options.snapshot_dir, options.keep_generations);
+  SnapshotStore store(options.snapshot_dir);
 
   if (!options.snapshot_dir.empty() && options.resume) {
     // Fingerprint-gated: a snapshot of a *different* bundle in this
@@ -267,8 +216,10 @@ Result<ResumableSummary> RunResumableAnalysis(const Machine& machine,
       }
       for (std::uint64_t& head : heads) head = r.U64();
       LD_TRY(analyzer.Restore(r));
+      const std::vector<std::string_view>* lines[kNumLogSources];
+      SourceLines(input.bundle.views, lines);
       for (std::size_t s = 0; s < kNumLogSources; ++s) {
-        if (heads[s] > bundle.lines[s].size()) {
+        if (heads[s] > lines[s]->size()) {
           return FailedPreconditionError(
               "snapshot records an offset past the end of " +
               std::string(LogSourceName(static_cast<LogSource>(s))) +
@@ -288,10 +239,9 @@ Result<ResumableSummary> RunResumableAnalysis(const Machine& machine,
   // Both schedules key off the *total* line count, which the restored
   // offsets reproduce exactly — a resumed pass advances and snapshots
   // at the same lines an uninterrupted one would.
-  const ReplaySchedule schedule{options.advance_every, options.reorder_slack};
   Status replay_status;
   ReplayLoop(
-      bundle, analyzer, schedule, heads, total,
+      input, analyzer, ReplaySchedule{}, heads, total,
       [&](std::uint64_t total_now) -> Status {
         if (!snapshots_enabled || total_now % options.snapshot_interval != 0) {
           return Status::Ok();

@@ -27,29 +27,24 @@
 #include <string>
 
 #include "common/status.hpp"
+#include "logdiver/cache/bundle_cache.hpp"
+#include "logdiver/logdiver.hpp"
 #include "logdiver/streaming.hpp"
 
 namespace ld {
 
-/// The four log files of a bundle, each consumed strictly in order.
-struct StreamInputs {
-  std::string torque_path;
-  std::string alps_path;
-  std::string syslog_path;
-  std::string hwerr_path;
-  /// Convenience: the standard bundle layout under `dir`.
-  static StreamInputs FromBundleDir(const std::string& dir) {
-    return {dir + "/torque.log", dir + "/alps.log", dir + "/syslog.log",
-            dir + "/hwerr.log"};
-  }
-};
+/// Resume payload version (docs/FORMATS.md "snapshot — analyzer
+/// checkpoint files").  Version 2: syslog claims follow the year rule,
+/// so the merge order of a year-spanning bundle changed and a v1
+/// snapshot's offsets would resume a different order.
+inline constexpr std::uint32_t kResumeStateVersion = 2;
 
-/// The deterministic advance schedule shared by every replay path
+/// The one deterministic advance schedule of every replay path
 /// (single-process resume and fleet workers).  Watermark advances key
 /// off the total merged line count, so two replays of the same bundle
-/// with the same schedule make identical Advance() calls — the defaults
-/// must stay in lockstep with ResumeOptions for a fleet worker's
-/// classification context to be bit-identical to the serial analyzer's.
+/// make identical Advance() calls — which is what keeps a fleet
+/// worker's classification context bit-identical to the serial
+/// analyzer's.
 struct ReplaySchedule {
   /// Lines between watermark advances.
   std::uint64_t advance_every = 500;
@@ -58,24 +53,58 @@ struct ReplaySchedule {
   Duration reorder_slack = Duration::Minutes(5);
 };
 
+/// Per-line claimed times: the timestamp the replay merge orders lines
+/// by.  A line's claim is the last parseable timestamp of its source
+/// (carried over lines that do not parse — a real shipper cannot drop
+/// what it cannot read); syslog stamps take their year from the
+/// previous claim by SyslogParser::ClaimTime's rollover rule.  The
+/// replay loader and the service tenant both claim through this class;
+/// the carry is its only state, so a tenant snapshot that stores the
+/// carries restores the tracker exactly.
+class ClaimedTracker {
+ public:
+  explicit ClaimedTracker(int syslog_base_year)
+      : syslog_base_year_(syslog_base_year) {}
+
+  /// Claimed time for `line`, updating the per-source carry.
+  TimePoint Claim(LogSource source, std::string_view line);
+
+  /// Re-seeds one source's carry (recovery: the snapshot and the
+  /// replayed journal records carry the claims, so the parsers never
+  /// re-run over history).
+  void SetCarry(LogSource source, TimePoint claimed);
+
+ private:
+  int syslog_base_year_;
+  TorqueParser torque_;
+  AlpsParser alps_;
+  HwerrParser hwerr_;
+  TimePoint carry_[kNumLogSources] = {};
+};
+
+/// A bundle ready for the deterministic merge: its mapped lines (with
+/// their fingerprint) and one claimed time per line.
+struct ReplayInput {
+  MappedBundle bundle;
+  cache::ClaimedColumns claimed;
+};
+
+/// Opens `inputs` (OpenBundle) and claims every line, one pool task per
+/// source on a pool sized by `config.threads` that is gone when this
+/// returns — so a caller may fork right after.  With a bundle cache
+/// directory the claims come from (or go to) its claims entry; a
+/// rejected entry is reported on stderr and the claims are recomputed.
+Result<ReplayInput> LoadReplayInput(const LogDiverConfig& config,
+                                    const StreamInputs& inputs);
+
 struct ResumeOptions {
   /// Snapshot directory; empty disables both snapshots and resume.
   std::string snapshot_dir;
   /// Lines between snapshots; 0 disables snapshotting.
   std::uint64_t snapshot_interval = 20000;
-  /// Lines between watermark advances.  Part of the deterministic
-  /// schedule: derived from the *total* line count, so a resumed pass
-  /// advances at exactly the same points as an uninterrupted one.
-  std::uint64_t advance_every = 500;
-  /// Reorder slack subtracted from the claimed head time at each
-  /// advance.
-  Duration reorder_slack = Duration::Minutes(5);
   /// Load the newest valid snapshot on startup; false starts fresh
   /// (existing snapshots are left alone — Clear() is the caller's call).
   bool resume = true;
-  /// Snapshot generations retained (min 2: the newest always has a
-  /// fallback in case it is torn by the next crash).
-  std::size_t keep_generations = 2;
 };
 
 struct ResumableSummary {
@@ -103,43 +132,20 @@ Result<ResumableSummary> RunResumableAnalysis(const Machine& machine,
                                               const StreamInputs& inputs,
                                               const ResumeOptions& options);
 
-/// Claims-cache activity observed while loading a bundle for replay.
-/// Fleet workers report these through their partial record (the obs
-/// registry dies with the forked process), so the supervisor — and the
-/// warm-cache campaign cell — can see whether warm shards actually
-/// skipped the claimed-time re-parse.
-struct BundleLoadStats {
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
-  std::uint64_t cache_rejected = 0;
-  std::uint64_t cache_stores = 0;
-};
+/// Streams a loaded bundle through `analyzer` with the merge order and
+/// advance schedule of RunResumableAnalysis, but no snapshotting or
+/// resume — the replay core a fleet worker runs.  The caller owns the
+/// analyzer (and calls Finalize()).  Returns total merged lines.
+Result<std::uint64_t> ReplayBundle(const ReplayInput& input,
+                                   const ReplaySchedule& schedule,
+                                   StreamingAnalyzer& analyzer);
 
-/// Streams the whole bundle through `analyzer` with the deterministic
-/// merge order and advance schedule of RunResumableAnalysis, but no
-/// snapshotting or resume — the replay core a fleet worker runs.  The
-/// caller owns the analyzer (and calls Finalize()); `config` must be
-/// the one the analyzer was built with (it supplies the syslog base
-/// year for claimed-time recomputation).  Returns total merged lines;
-/// fills `load_stats` (optional) with the claims-cache activity of the
-/// bundle load.
+/// LoadReplayInput + ReplayBundle; `config` supplies the syslog base
+/// year and the bundle cache directory.
 Result<std::uint64_t> ReplayBundle(const LogDiverConfig& config,
                                    const StreamInputs& inputs,
                                    const ReplaySchedule& schedule,
-                                   StreamingAnalyzer& analyzer,
-                                   BundleLoadStats* load_stats = nullptr);
-
-/// Deterministic fingerprint of (bundle bytes, shard partition):
-/// delegates to bundle_cache's LinesFingerprint (a word-folded FNV-style
-/// hash with its own offset basis — not FNV-1a-64, see bundle_cache.hpp)
-/// over every source's raw lines, mixed with `shard_count`.  This is
-/// the id stamped into snapshot/partial headers so a loader can tell
-/// "same bundle, same partition" from "stale directory or foreign
-/// partial" without parsing a payload.  `shard_count` 0 is the
-/// single-process resume flavor (no partition); a fleet with N shards
-/// uses N, so partials from a differently-sharded run never merge.
-Result<std::uint64_t> BundlePartitionFingerprint(const StreamInputs& inputs,
-                                                 std::uint32_t shard_count);
+                                   StreamingAnalyzer& analyzer);
 
 /// Process-level restart loop around a crashing analysis attempt.
 class CrashSupervisor {

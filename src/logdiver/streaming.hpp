@@ -16,8 +16,12 @@
 // still-open system incident could cover it; finalized runs fold into
 // the metric accumulators and are dropped.
 //
-// Classification results are exactly those of the batch pipeline for
-// well-ordered streams (the integration test asserts this).
+// Run-level outcomes, attribution and every error category except
+// Lustre match the batch pipeline on a stream merged by claimed time
+// (resume.hpp ReplayBundle); tests/logdiver/bundle_loader_test.cpp
+// checks the machine-check and GPU rows on a year-spanning bundle.
+// Lustre still differs: streaming counts both lines of a paired
+// incident as raw events (ROADMAP item 1).
 #pragma once
 
 #include <array>

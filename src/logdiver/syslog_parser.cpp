@@ -233,26 +233,54 @@ bool BackwardJump(int last_month, int month) {
   return last_month != 0 && month > last_month && month - last_month > 6;
 }
 
+/// The calendar fields of a syslog stamp, year not yet known.
+struct Stamp {
+  int month = 0, day = 0, hour = 0, minute = 0, second = 0;
+};
+
+Result<Stamp> ParseStamp(std::string_view text) {
+  // "Apr  1 02:10:02" (day may be space-padded).
+  const auto fields = SplitWhitespace(text);
+  if (fields.size() < 3) return ParseError("syslog: bad timestamp");
+  Stamp stamp;
+  stamp.month = MonthFromAbbrev(fields[0]);
+  if (stamp.month == 0) {
+    return ParseError("syslog: bad month '" + std::string(fields[0]) + "'");
+  }
+  auto day = ParseInt(fields[1]);
+  if (!day.ok()) return day.status();
+  stamp.day = static_cast<int>(*day);
+  if (!ParseClock(fields[2], stamp.hour, stamp.minute, stamp.second)) {
+    return ParseError("syslog: bad clock field");
+  }
+  return stamp;
+}
+
+TimePoint StampIn(int year, const Stamp& s) {
+  return TimePoint::FromCalendar(year, s.month, s.day, s.hour, s.minute,
+                                 s.second);
+}
+
 }  // namespace
 
 SyslogParser::SyslogParser(int base_year) : current_year_(base_year) {}
 
 Result<TimePoint> SyslogParser::ParseSyslogTime(std::string_view text,
                                                 int year) {
-  // "Apr  1 02:10:02" (day may be space-padded).
-  const auto fields = SplitWhitespace(text);
-  if (fields.size() < 3) return ParseError("syslog: bad timestamp");
-  const int month = MonthFromAbbrev(fields[0]);
-  if (month == 0) {
-    return ParseError("syslog: bad month '" + std::string(fields[0]) + "'");
-  }
-  auto day = ParseInt(fields[1]);
-  if (!day.ok()) return day.status();
-  int h = 0, m = 0, s = 0;
-  if (!ParseClock(fields[2], h, m, s)) {
-    return ParseError("syslog: bad clock field");
-  }
-  return TimePoint::FromCalendar(year, month, static_cast<int>(*day), h, m, s);
+  LD_ASSIGN_OR_RETURN(const Stamp stamp, ParseStamp(text));
+  return StampIn(year, stamp);
+}
+
+Result<TimePoint> SyslogParser::ClaimTime(std::string_view line,
+                                          TimePoint last, int base_year) {
+  if (line.size() < 15) return ParseError("syslog: bad timestamp");
+  LD_ASSIGN_OR_RETURN(const Stamp stamp, ParseStamp(line.substr(0, 15)));
+  if (last == TimePoint{}) return StampIn(base_year, stamp);
+  const CalendarTime prev = ToCalendar(last);
+  int year = prev.year;
+  if (RolloverBetween(prev.month, stamp.month)) ++year;
+  if (BackwardJump(prev.month, stamp.month)) --year;
+  return StampIn(year, stamp);
 }
 
 Result<std::optional<ErrorRecord>> SyslogParser::ParseLine(

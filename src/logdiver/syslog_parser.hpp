@@ -110,6 +110,15 @@ class SyslogParser {
   /// Parses "Apr  1 02:10:02" within the given year.
   static Result<TimePoint> ParseSyslogTime(std::string_view text, int year);
 
+  /// A line's claimed time under this parser's year rule: the stamp is
+  /// rendered in the year of `last` (the source's previous claim),
+  /// advanced on a December rollover and set back on a backward jump
+  /// (RolloverBetween / BackwardJump).  `last` == TimePoint{} means no
+  /// claim yet: the stamp lands in `base_year`.  Deriving the year from
+  /// the previous claim keeps the claim carry the only state.
+  static Result<TimePoint> ClaimTime(std::string_view line, TimePoint last,
+                                     int base_year);
+
  private:
   Result<std::optional<ErrorRecord>> ParseLineImpl(std::string_view line);
 

@@ -268,7 +268,7 @@ TEST(BundleCache, StaleFormatVersionIsRejected) {
   fs::remove_all(cb.cache_dir);
 }
 
-TEST(BundleCache, LinesFingerprintMatchesBundlePartitionFingerprint) {
+TEST(BundleCache, LinesFingerprintMatchesOpenBundleFingerprint) {
   const CachedBundle cb = MakeCachedBundle("fp", 107);
 
   // Read the bundle the simple way and fingerprint the in-memory lines.
@@ -282,15 +282,28 @@ TEST(BundleCache, LinesFingerprintMatchesBundlePartitionFingerprint) {
     std::string line;
     while (std::getline(in, line)) dests[s]->push_back(line);
   }
-  const LogSetView views(logs);
+  const std::uint64_t want = cache::LinesFingerprint(LogSetView(logs), 0);
 
   const StreamInputs inputs = StreamInputs::FromBundleDir(cb.bundle_dir);
-  for (const std::uint32_t shards : {0u, 1u, 3u}) {
-    auto from_files = BundlePartitionFingerprint(inputs, shards);
-    ASSERT_TRUE(from_files.ok()) << from_files.status().ToString();
-    EXPECT_EQ(cache::LinesFingerprint(views, shards), *from_files)
-        << "shard_count=" << shards;
+  auto opened = OpenBundle(inputs, nullptr);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  EXPECT_EQ(opened->fingerprint, want);
+
+  // A rotation family is one stream: splitting alps.log into alps.log.1
+  // (older half) + alps.log keeps the bundle's identity.
+  const std::size_t half = logs.alps.size() / 2;
+  {
+    std::ofstream older(cb.bundle_dir + "/alps.log.1", std::ios::trunc);
+    for (std::size_t i = 0; i < half; ++i) older << logs.alps[i] << "\n";
+    std::ofstream newer(cb.bundle_dir + "/alps.log", std::ios::trunc);
+    for (std::size_t i = half; i < logs.alps.size(); ++i) {
+      newer << logs.alps[i] << "\n";
+    }
   }
+  auto rotated = OpenBundle(inputs, nullptr);
+  ASSERT_TRUE(rotated.ok()) << rotated.status().ToString();
+  EXPECT_EQ(rotated->fingerprint, want);
+  EXPECT_EQ(rotated->views.alps.size(), logs.alps.size());
 
   fs::remove_all(cb.bundle_dir);
   fs::remove_all(cb.cache_dir);
@@ -334,6 +347,33 @@ TEST(BundleCache, ClaimsColumnsRoundTripAndValidate) {
   EXPECT_EQ(bundle_cache.LoadClaims(fp, 2013, counts).status().code(),
             StatusCode::kParseError);
 
+  fs::remove_all(dir);
+}
+
+TEST(BundleCache, V2ClaimsEntryWithYearPinnedClaimsIsRejected) {
+  // v2 claims columns pinned every syslog stamp to the base year; a v3
+  // build must refuse them by the header version, not replay them.
+  const std::string dir = ::testing::TempDir() + "/ld_bc_claims_v2";
+  fs::remove_all(dir);
+  const cache::BundleCache bundle_cache(dir);
+  cache::ClaimedColumns claimed;
+  for (auto& column : claimed) column.push_back(TimePoint(1365000000));
+  const std::array<std::size_t, kNumLogSources> counts = {1, 1, 1, 1};
+  const std::uint64_t fp = 0x1234;
+  ASSERT_TRUE(bundle_cache.StoreClaims(fp, 2013, claimed).ok());
+  ASSERT_TRUE(bundle_cache.LoadClaims(fp, 2013, counts).ok());
+  {
+    std::fstream file(bundle_cache.ClaimsPath(fp),
+                      std::ios::in | std::ios::out | std::ios::binary);
+    file.seekp(8);
+    const std::uint32_t v2 = 2;
+    file.write(reinterpret_cast<const char*>(&v2), sizeof(v2));
+  }
+  auto stale = bundle_cache.LoadClaims(fp, 2013, counts);
+  ASSERT_FALSE(stale.ok());
+  EXPECT_EQ(stale.status().code(), StatusCode::kParseError);
+  EXPECT_NE(stale.status().message().find("version"), std::string::npos)
+      << stale.status().message();
   fs::remove_all(dir);
 }
 
@@ -399,7 +439,7 @@ TEST(BundleCache, V1EntryIsRejectedAsStaleAndRewritten) {
       << rejected->cache_note;
   ExpectSameAnalysis(*cold, *rejected);
 
-  // The fallback text parse rewrote the entry in v2.
+  // The fallback text parse rewrote the entry in the current version.
   auto warm = diver.AnalyzeBundle(cb.bundle_dir);
   ASSERT_TRUE(warm.ok()) << warm.status().ToString();
   EXPECT_EQ(warm->cache_outcome, CacheOutcome::kHit);

@@ -190,20 +190,20 @@ TEST_F(ResumeTest, SnapshotFromDifferentBundleIsRejected) {
   // fingerprint so it reaches the offset check (a wrong fingerprint
   // would be skipped earlier — next test).
   const StreamInputs inputs = StreamInputs::FromBundleDir(*bundle_dir_);
-  auto fingerprint = BundlePartitionFingerprint(inputs, 0);
-  ASSERT_TRUE(fingerprint.ok());
+  auto bundle = OpenBundle(inputs, nullptr);
+  ASSERT_TRUE(bundle.ok());
 
   const std::string snap_dir = testing::TempDir() + "resume_test_wrong";
   std::filesystem::remove_all(snap_dir);
   SnapshotStore store(snap_dir);
   SnapshotWriter w;
-  w.U32(1);  // resume-state version
+  w.U32(kResumeStateVersion);
   for (int s = 0; s < 4; ++s) w.U64(1u << 30);  // absurd offsets
   {
     StreamingAnalyzer empty(*machine_, LogDiverConfig{});
     empty.Snapshot(w);
   }
-  ASSERT_TRUE(store.Write(w.bytes(), *fingerprint).ok());
+  ASSERT_TRUE(store.Write(w.bytes(), bundle->fingerprint).ok());
 
   ResumeOptions options;
   options.snapshot_dir = snap_dir;
@@ -222,7 +222,7 @@ TEST_F(ResumeTest, MismatchedFingerprintSnapshotIsSkippedNotLoaded) {
   std::filesystem::remove_all(snap_dir);
   SnapshotStore store(snap_dir);
   SnapshotWriter w;
-  w.U32(1);  // resume-state version
+  w.U32(kResumeStateVersion);
   for (int s = 0; s < 4; ++s) w.U64(0);
   {
     StreamingAnalyzer empty(*machine_, LogDiverConfig{});
@@ -243,6 +243,36 @@ TEST_F(ResumeTest, MismatchedFingerprintSnapshotIsSkippedNotLoaded) {
   EXPECT_EQ(result->lines_skipped, 0u);
   EXPECT_EQ(FingerprintReport(result->summary.metrics),
             FingerprintReport(baseline->summary.metrics));
+  std::filesystem::remove_all(snap_dir);
+}
+
+TEST_F(ResumeTest, OlderResumeStateVersionIsRejectedNotResumed) {
+  // A v1 snapshot recorded offsets into the old (year-pinned) merge
+  // order; resuming it would replay a different order than it was cut
+  // from.  It must fail loudly even with the right bundle fingerprint.
+  const StreamInputs inputs = StreamInputs::FromBundleDir(*bundle_dir_);
+  auto bundle = OpenBundle(inputs, nullptr);
+  ASSERT_TRUE(bundle.ok());
+  const std::string snap_dir = testing::TempDir() + "resume_test_v1";
+  std::filesystem::remove_all(snap_dir);
+  SnapshotStore store(snap_dir);
+  SnapshotWriter w;
+  w.U32(kResumeStateVersion - 1);
+  for (int s = 0; s < 4; ++s) w.U64(0);
+  {
+    StreamingAnalyzer empty(*machine_, LogDiverConfig{});
+    empty.Snapshot(w);
+  }
+  ASSERT_TRUE(store.Write(w.bytes(), bundle->fingerprint).ok());
+
+  ResumeOptions options;
+  options.snapshot_dir = snap_dir;
+  auto result =
+      RunResumableAnalysis(*machine_, LogDiverConfig{}, inputs, options);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(result.status().message().find("resume-state version"),
+            std::string::npos);
   std::filesystem::remove_all(snap_dir);
 }
 
