@@ -276,10 +276,15 @@ int main(int argc, char** argv) {
     }
     if (!manifest_out.empty()) {
       if (mode == "analyze") {
-        manifest.AddInput(dir + "/torque.log");
-        manifest.AddInput(dir + "/alps.log");
-        manifest.AddInput(dir + "/syslog.log");
-        manifest.AddInput(dir + "/hwerr.log");
+        // Every file the loader read; a bundle it cannot list was not
+        // analyzed, and the exit code says so.
+        const auto segments =
+            ld::BundleSegments(ld::StreamInputs::FromBundleDir(dir));
+        if (segments.ok()) {
+          for (const ld::BundleSegment& segment : *segments) {
+            manifest.AddInput(segment.path);
+          }
+        }
       }
       manifest.SetExitCode(code);
       const ld::Status written = manifest.Write(manifest_out);

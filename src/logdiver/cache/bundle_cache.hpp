@@ -53,10 +53,13 @@ namespace ld::cache {
 /// deltas instead of fixed-width words (docs/FORMATS.md "Parsed-bundle
 /// cache v2").  Version 3 keeps that layout and retires claims entries
 /// whose syslog claims were pinned to the base year (docs/FORMATS.md
-/// "Parsed-bundle cache v3").  Older entries are rejected as stale —
+/// "Parsed-bundle cache v3").  Version 4 keeps the layout and retires
+/// records whose syslog parse had paired Lustre incidents: the
+/// coalescer now pairs them from one record per line (docs/FORMATS.md
+/// "Parsed-bundle cache v4").  Older entries are rejected as stale —
 /// loudly, with the text-parse fallback — and rewritten on the next
 /// store.
-inline constexpr std::uint32_t kBundleCacheVersion = 3;
+inline constexpr std::uint32_t kBundleCacheVersion = 4;
 /// The entry file kind: magic "LDPBCHE1", deliberately distinct from
 /// the snapshot magic — a checkpoint copied into a cache directory (or
 /// vice versa) must fail the very first header check.

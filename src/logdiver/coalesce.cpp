@@ -157,21 +157,29 @@ StreamingCoalescer::StreamingCoalescer(const Machine& machine,
 }
 
 void StreamingCoalescer::Add(const ErrorRecord& record) {
-  ++stats_.input_events;
   const std::uint64_t key = OpenKey(record.category, record.location);
   auto it = open_.find(key);
+  const bool incident = record.scope == LocScope::kSystem;
+  if (incident && record.recovered.has_value()) {
+    // A recovery line is no event: it closes the open incident on its
+    // key, and with none open it is a stray and dropped.
+    if (open_incidents_.erase(key) != 0) {
+      ErrorTuple& tuple = it->second;
+      tuple.recovered = std::max(tuple.recovered.value_or(*record.recovered),
+                                 *record.recovered);
+    }
+    return;
+  }
+  ++stats_.input_events;
   if (it != open_.end()) {
     ErrorTuple& tuple = it->second;
-    // An unrecovered system incident is ongoing by definition: error
-    // reports and the eventual recovery line merge into it no matter how
-    // long it lasts.
-    const bool open_incident = tuple.scope == LocScope::kSystem &&
-                               !tuple.recovered.has_value();
+    // An open system incident is ongoing by definition: every error
+    // report merges into it, however long it lasts.  A report within
+    // the window of a closed incident re-opens it.
     const bool in_window =
         (record.time >= tuple.first - config_.tupling_window &&
          record.time <= tuple.last + config_.tupling_window) ||
-        (open_incident &&
-         record.time >= tuple.first - config_.tupling_window);
+        (incident && open_incidents_.contains(key));
     if (in_window) {
       tuple.first = std::min(tuple.first, record.time);
       tuple.last = std::max(tuple.last, record.time);
@@ -179,11 +187,7 @@ void StreamingCoalescer::Add(const ErrorRecord& record) {
       tuple.count += 1;
       tuple.from_syslog |= record.source == LogSource::kSyslog;
       tuple.from_hwerr |= record.source == LogSource::kHwerr;
-      if (record.recovered.has_value()) {
-        tuple.recovered = tuple.recovered.has_value()
-                              ? std::max(*tuple.recovered, *record.recovered)
-                              : record.recovered;
-      }
+      if (incident) open_incidents_.insert(key);
       return;
     }
     // The gap exceeded the window: the old tuple is complete.  Its map
@@ -201,7 +205,6 @@ void StreamingCoalescer::Add(const ErrorRecord& record) {
   tuple.location = record.location;
   tuple.first = record.time;
   tuple.last = record.time;
-  tuple.recovered = record.recovered;
   tuple.count = 1;
   tuple.from_syslog = record.source == LogSource::kSyslog;
   tuple.from_hwerr = record.source == LogSource::kHwerr;
@@ -227,6 +230,7 @@ void StreamingCoalescer::Add(const ErrorRecord& record) {
     return;
   }
   tuple.nodes = cached->second.nodes;
+  if (incident) open_incidents_.insert(key);
   if (it != open_.end()) {
     it->second = std::move(tuple);
   } else {
@@ -241,9 +245,7 @@ std::vector<ErrorTuple> StreamingCoalescer::Flush(TimePoint watermark) {
     ErrorTuple& tuple = it->second;
     const bool window_closed =
         tuple.last + config_.tupling_window < watermark;
-    const bool incident_open = tuple.scope == LocScope::kSystem &&
-                               !tuple.recovered.has_value();
-    if (window_closed && !incident_open) {
+    if (window_closed && !open_incidents_.contains(it->first)) {
       out.push_back(std::move(tuple));
       it = open_.erase(it);
     } else {
@@ -259,12 +261,14 @@ std::vector<ErrorTuple> StreamingCoalescer::FlushAll() {
   std::vector<ErrorTuple> out = std::move(closed_);
   closed_.clear();
   for (auto& [key, tuple] : open_) {
-    if (tuple.scope == LocScope::kSystem && !tuple.recovered.has_value()) {
-      tuple.recovered = tuple.first + Duration(kDefaultIncidentSeconds);
+    if (open_incidents_.contains(key)) {
+      const TimePoint end = tuple.first + Duration(kDefaultIncidentSeconds);
+      tuple.recovered = std::max(tuple.recovered.value_or(end), end);
     }
     out.push_back(std::move(tuple));
   }
   open_.clear();
+  open_incidents_.clear();
   stats_.tuples += out.size();
   SortByFirst(out);
   return out;
@@ -272,13 +276,9 @@ std::vector<ErrorTuple> StreamingCoalescer::FlushAll() {
 
 std::optional<TimePoint> StreamingCoalescer::EarliestOpenIncident() const {
   std::optional<TimePoint> earliest;
-  for (const auto& [key, tuple] : open_) {
-    if (tuple.scope != LocScope::kSystem || tuple.recovered.has_value()) {
-      continue;
-    }
-    if (!earliest.has_value() || tuple.first < *earliest) {
-      earliest = tuple.first;
-    }
+  for (const std::uint64_t key : open_incidents_) {
+    const TimePoint first = open_.at(key).first;
+    if (!earliest.has_value() || first < *earliest) earliest = first;
   }
   return earliest;
 }
@@ -318,6 +318,9 @@ void StreamingCoalescer::MergeFrom(const StreamingCoalescer& other) {
                            : theirs.recovered;
     }
   }
+  // An incident open on either side stays open.
+  open_incidents_.insert(other.open_incidents_.begin(),
+                         other.open_incidents_.end());
 }
 
 void StreamingCoalescer::SaveState(SnapshotWriter& w) const {
@@ -329,7 +332,7 @@ void StreamingCoalescer::SaveState(SnapshotWriter& w) const {
   // symbol ids; serialize in (category, location string) order so the
   // snapshot bytes are a pure function of the analyzed stream.  The
   // keys themselves are not written: each open tuple carries its own
-  // (category, location).
+  // (category, location), and its incident flag follows the tuples.
   std::vector<const ErrorTuple*> open_sorted;
   open_sorted.reserve(open_.size());
   for (const auto& [key, tuple] : open_) open_sorted.push_back(&tuple);
@@ -339,6 +342,9 @@ void StreamingCoalescer::SaveState(SnapshotWriter& w) const {
               return a->location.view() < b->location.view();
             });
   PutTuples(w, open_sorted);
+  for (const ErrorTuple* t : open_sorted) {
+    w.Bool(open_incidents_.contains(OpenKey(t->category, t->location)));
+  }
   PutTuples(w, closed_);
 }
 
@@ -351,8 +357,10 @@ void StreamingCoalescer::LoadState(SnapshotReader& r) {
   GetTuples(r, open);
   open_.clear();
   open_.reserve(std::max<std::size_t>(open.size(), 256));
+  open_incidents_.clear();
   for (ErrorTuple& tuple : open) {
     const std::uint64_t key = OpenKey(tuple.category, tuple.location);
+    if (r.Bool()) open_incidents_.insert(key);
     if (!open_.emplace(key, std::move(tuple)).second) {
       r.Fail("two open tuples share one (category, location) key");
     }

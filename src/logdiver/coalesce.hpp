@@ -8,6 +8,15 @@
 // the time span, the maximum severity, and the contributing sources.
 // Locations are resolved to machine node sets here so the correlator
 // can do purely positional matching.
+//
+// System-scope records (Lustre) follow the incident rule instead, and
+// this is the only place that pairs them: an error line opens an
+// incident, or re-opens a closed one within the window of its span, and
+// every further error line merges into the open incident and counts.
+// The first recovery line (a record with `recovered` set) closes it,
+// extending `recovered` and nothing else; a recovery with no incident
+// open is dropped uncounted.  An incident still open at FlushAll ends
+// no earlier than 30 minutes after its first report.
 #pragma once
 
 #include <cstdint>
@@ -15,6 +24,7 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "common/interval.hpp"
@@ -67,7 +77,8 @@ class StreamingCoalescer {
   StreamingCoalescer(const Machine& machine, CoalesceConfig config);
 
   /// Adds one record.  Records within the tupling window of their
-  /// tuple's span merge even if slightly out of order.
+  /// tuple's span merge even if slightly out of order; system-scope
+  /// records follow the incident rule (see the file comment).
   void Add(const ErrorRecord& record);
 
   /// Closes and returns tuples that can no longer grow: node-scoped
@@ -77,7 +88,7 @@ class StreamingCoalescer {
   std::vector<ErrorTuple> Flush(TimePoint watermark);
 
   /// Closes everything, applying the default window to still-open
-  /// system incidents.
+  /// system incidents (recovered = max(recovered, first + 30 min)).
   std::vector<ErrorTuple> FlushAll();
 
   /// Start time of the earliest still-open system incident, if any —
@@ -102,9 +113,9 @@ class StreamingCoalescer {
   /// span-union, max severity, summed counts.
   void MergeFrom(const StreamingCoalescer& other);
 
-  /// Snapshot serialization hooks: open/displaced tuples, the id
-  /// counter and the stats round-trip (machine + config stay
-  /// construction-time).
+  /// Snapshot serialization hooks: open/displaced tuples, the open
+  /// incident flags, the id counter and the stats round-trip (machine +
+  /// config stay construction-time).
   void SaveState(SnapshotWriter& w) const;
   void LoadState(SnapshotReader& r);
 
@@ -118,6 +129,10 @@ class StreamingCoalescer {
   /// serialization sorts by (category, location string) so the written
   /// bytes stay deterministic (symbol ids are not — see intern.hpp).
   std::unordered_map<std::uint64_t, ErrorTuple> open_;
+  /// Keys of open_ whose system incident is open: no recovery line yet
+  /// since the last error line.  Such a tuple never flushes before
+  /// FlushAll.
+  std::unordered_set<std::uint64_t> open_incidents_;
   /// Tuples displaced by a new burst on the same key; handed out on the
   /// next Flush.
   std::vector<ErrorTuple> closed_;

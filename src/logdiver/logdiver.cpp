@@ -1,6 +1,7 @@
 #include "logdiver/logdiver.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cctype>
 #include <filesystem>
 #include <optional>
@@ -91,31 +92,42 @@ Result<std::vector<std::string>> ReadRotatedLines(const std::string& base) {
   return lines;
 }
 
+Result<std::vector<BundleSegment>> BundleSegments(const StreamInputs& inputs) {
+  const std::pair<LogSource, const std::string*> families[] = {
+      {LogSource::kTorque, &inputs.torque_path},
+      {LogSource::kAlps, &inputs.alps_path},
+      {LogSource::kSyslog, &inputs.syslog_path},
+      {LogSource::kHwerr, &inputs.hwerr_path}};
+  std::vector<BundleSegment> out;
+  for (const auto& [source, base] : families) {
+    if (source == LogSource::kHwerr && !std::filesystem::exists(*base)) {
+      continue;
+    }
+    LD_ASSIGN_OR_RETURN(const auto paths, RotationSegments(*base));
+    for (const std::string& path : paths) out.push_back({source, path});
+  }
+  return out;
+}
+
 Result<MappedBundle> OpenBundle(const StreamInputs& inputs, ThreadPool* pool,
                                 bool fingerprint) {
   LD_OBS_SPAN("load_bundle");
+  LD_ASSIGN_OR_RETURN(const auto segments, BundleSegments(inputs));
   MappedBundle bundle;
+  const std::array<std::vector<std::string_view>*, kNumLogSources> views = {
+      &bundle.views.torque, &bundle.views.alps, &bundle.views.syslog,
+      &bundle.views.hwerr};
   std::uint64_t bytes = 0;
-  const auto load = [&bundle, &bytes, pool](
-                        const std::string& base,
-                        std::vector<std::string_view>* out) -> Status {
-    LD_ASSIGN_OR_RETURN(const auto segments, RotationSegments(base));
-    for (const std::string& path : segments) {
-      LD_OBS_SPAN_DYN("load/" + path);
-      LD_ASSIGN_OR_RETURN(MappedFile file, MappedFile::Open(path));
-      const std::vector<std::string_view> lines =
-          SplitLinesParallel(file.data(), pool);
-      out->insert(out->end(), lines.begin(), lines.end());
-      bytes += file.size();
-      bundle.mappings.push_back(std::move(file));
-    }
-    return Status::Ok();
-  };
-  LD_TRY(load(inputs.torque_path, &bundle.views.torque));
-  LD_TRY(load(inputs.alps_path, &bundle.views.alps));
-  LD_TRY(load(inputs.syslog_path, &bundle.views.syslog));
-  if (std::filesystem::exists(inputs.hwerr_path)) {
-    LD_TRY(load(inputs.hwerr_path, &bundle.views.hwerr));
+  for (const BundleSegment& segment : segments) {
+    LD_OBS_SPAN_DYN("load/" + segment.path);
+    LD_ASSIGN_OR_RETURN(MappedFile file, MappedFile::Open(segment.path));
+    const std::vector<std::string_view> lines =
+        SplitLinesParallel(file.data(), pool);
+    std::vector<std::string_view>* out =
+        views[static_cast<std::size_t>(segment.source)];
+    out->insert(out->end(), lines.begin(), lines.end());
+    bytes += file.size();
+    bundle.mappings.push_back(std::move(file));
   }
   LD_OBS_COUNTER_ADD(obs::names::kIngestBytesMappedTotal, bytes);
   if (fingerprint) bundle.fingerprint = cache::LinesFingerprint(bundle.views, 0);

@@ -228,10 +228,20 @@ struct MappedBundle {
   std::uint64_t fingerprint = 0;
 };
 
+/// One file of a bundle: a segment of `source`'s rotation family.
+struct BundleSegment {
+  LogSource source;
+  std::string path;
+};
+
+/// Every file OpenBundle maps, in load order: each source's rotation
+/// family oldest first (torque, alps, syslog, then hwerr).  A missing
+/// hwerr family lists no file; the other three are required (NotFound).
+Result<std::vector<BundleSegment>> BundleSegments(const StreamInputs& inputs);
+
 /// The one bundle loader, shared by batch, resume, replay and the fleet.
-/// Maps each source's rotation family oldest-first and splits it into
-/// lines on `pool` (inline when null).  A missing hwerr family reads as
-/// empty (the source is optional); the other three are required.  Adds
+/// Maps every BundleSegments file and splits it into lines on `pool`
+/// (inline when null), so a missing hwerr family reads as empty.  Adds
 /// the loaded bytes to ld.ingest.bytes_mapped_total.
 Result<MappedBundle> OpenBundle(const StreamInputs& inputs, ThreadPool* pool,
                                 bool fingerprint = true);

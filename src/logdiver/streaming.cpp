@@ -14,9 +14,11 @@ namespace {
 // tallies and per-job queue-wait winners (the mergeable-aggregate
 // refactor).  Version 3: jobs, runs and tuples (the coalescer's
 // included) moved to the columnar record encoding, with the map keys
-// re-derived from each record instead of written.  Older snapshots are
-// rejected and analysis restarts from the raw logs.
-constexpr std::uint32_t kStreamStateVersion = 3;
+// re-derived from each record instead of written.  Version 4: the
+// coalescer writes an open-incident flag per open tuple (the incident
+// rule moved out of the syslog parser).  Older snapshots are rejected
+// and analysis restarts from the raw logs.
+constexpr std::uint32_t kStreamStateVersion = 4;
 
 /// Moves decoded records into `map` keyed by each record's own id (the
 /// snapshot does not write the keys); a repeated id means the payload
@@ -199,9 +201,8 @@ void StreamingAnalyzer::AddSyslogLine(std::string_view line) {
     return;
   }
   if (!rec->has_value()) return;
-  // Recovery lines (corrected severity, `recovered` set) merge into the
-  // open incident inside the coalescer; a stray recovery with no open
-  // incident becomes a harmless corrected-severity tuple.
+  // A Lustre recovery line (`recovered` set) closes the open incident
+  // inside the coalescer; a stray one with no incident open is dropped.
   coalescer_.Add(**rec);
 }
 

@@ -16,12 +16,11 @@
 // still-open system incident could cover it; finalized runs fold into
 // the metric accumulators and are dropped.
 //
-// Run-level outcomes, attribution and every error category except
-// Lustre match the batch pipeline on a stream merged by claimed time
-// (resume.hpp ReplayBundle); tests/logdiver/bundle_loader_test.cpp
-// checks the machine-check and GPU rows on a year-spanning bundle.
-// Lustre still differs: streaming counts both lines of a paired
-// incident as raw events (ROADMAP item 1).
+// On a stream merged by claimed time (resume.hpp ReplayBundle) the
+// report equals the batch pipeline's: both feed one StreamingCoalescer
+// rule, Lustre incidents included.  tests/logdiver/bundle_loader_test.cpp
+// holds every replay mode to batch's report on a rotated, an hwerr-less
+// and a year-spanning bundle.
 #pragma once
 
 #include <array>

@@ -74,12 +74,6 @@ std::string StripLaneSuffix(std::string cname) {
   return cname;
 }
 
-/// Default window applied to an incident whose recovery line is missing
-/// (stream truncated); matches the study's conservative handling.
-constexpr std::int64_t kDefaultOpenIncidentSeconds = 1800;
-
-constexpr std::size_t kNoOpenIncident = static_cast<std::size_t>(-1);
-
 /// The year-independent part of the per-line parse: everything except
 /// resolving the absolute year.  Pure — safe on any thread.
 ///
@@ -147,7 +141,7 @@ Result<std::optional<SyslogParser::PreRecord>> ParsePreImpl(
     rec.category = ErrorCategory::kLustre;
     rec.scope = LocScope::kSystem;
     if (Contains(message, "recovered")) {
-      // Recovery line: closes the pending incident during reduction.
+      // Recovery line: the coalescer closes the open incident with it.
       rec.severity = Severity::kCorrected;
       pre.is_recovery = true;
       return std::optional<SyslogParser::PreRecord>{std::move(pre)};
@@ -378,8 +372,6 @@ std::vector<ErrorRecord> SyslogParser::ReduceChunks(std::vector<Chunk>&& chunks,
   for (const Chunk& chunk : chunks) total += chunk.items.size();
   std::vector<ErrorRecord> out;
   out.reserve(total);
-  // Index of the currently open system incident in `out`, or none.
-  std::size_t open_incident = kNoOpenIncident;
   for (Chunk& chunk : chunks) {
     // Chunk-boundary stitch: a rollover between the carried last month
     // and this chunk's first valid month shifts the whole chunk's base
@@ -397,33 +389,12 @@ std::vector<ErrorRecord> SyslogParser::ReduceChunks(std::vector<Chunk>&& chunks,
                                          item.month, item.day, item.hour,
                                          item.minute, item.second);
       if (item.is_recovery) rec.recovered = rec.time;
-      if (rec.scope == LocScope::kSystem) {
-        if (item.is_recovery) {
-          // Recovery: close the open incident.
-          if (open_incident != kNoOpenIncident) {
-            out[open_incident].recovered = rec.recovered;
-            open_incident = kNoOpenIncident;
-          }
-          continue;  // recovery lines do not become records themselves
-        }
-        if (open_incident != kNoOpenIncident) {
-          // Overlapping incident reports merge into the open one.
-          continue;
-        }
-        open_incident = out.size();
-        out.push_back(std::move(rec));
-        continue;
-      }
       out.push_back(std::move(rec));
     }
     current_year_ = entry_year + chunk.year_delta_total;
     if (chunk.last_month != 0) last_month_ = chunk.last_month;
     stats_.MergeFrom(chunk.stats);
     if (sink != nullptr) sink->MergeFrom(std::move(chunk.sink));
-  }
-  if (open_incident != kNoOpenIncident) {
-    out[open_incident].recovered =
-        out[open_incident].time + Duration(kDefaultOpenIncidentSeconds);
   }
   return out;
 }

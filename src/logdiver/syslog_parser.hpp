@@ -7,17 +7,19 @@
 //     when the month moves backwards across a December/January boundary
 //     the year is advanced).
 //  2. Lustre incidents are reported as an error line when the service
-//     degrades and a recovery line when it returns.  The parser pairs
-//     them into a single system-scope record carrying the outage window;
-//     overlapping incident windows are merged into the open incident.
+//     degrades and a recovery line when it returns.  The parser keeps no
+//     incident state: an error line becomes a fatal system-scope record
+//     and a recovery line a system-scope record with `recovered` set to
+//     its own time.  The coalescer pairs them (coalesce.hpp), so every
+//     execution mode applies one incident rule.
 //
-// Both are cross-line state, so the chunk-parallel path is split in two:
-// ParseChunk (any thread) emits *year-relative* pre-records — calendar
-// fields plus the rollover count within the chunk — and ReduceChunks
-// (owning thread, chunks in order) resolves absolute years across chunk
-// boundaries and runs the incident-pairing state machine serially.  The
-// result is bit-identical to the line-at-a-time path at any thread count
-// or chunk size (see DESIGN.md "Parallel ingestion").
+// The year is the only cross-line state, so the chunk-parallel path is
+// split in two: ParseChunk (any thread) emits *year-relative*
+// pre-records — calendar fields plus the rollover count within the
+// chunk — and ReduceChunks (owning thread, chunks in order) resolves
+// absolute years across chunk boundaries.  The result is bit-identical
+// to the line-at-a-time path at any thread count or chunk size (see
+// DESIGN.md "Parallel ingestion").
 #pragma once
 
 #include <cstdint>
@@ -36,8 +38,9 @@ class SyslogParser {
   /// `base_year` is the calendar year of the first line in the stream.
   explicit SyslogParser(int base_year);
 
-  /// Parses one line.  Recovery lines return nullopt (they close the
-  /// pending incident, visible via `Finish()` / mutated prior records).
+  /// Parses one line into the record ReduceChunks would emit for it
+  /// (a Lustre recovery line included); nullopt for a line that is no
+  /// error report.
   Result<std::optional<ErrorRecord>> ParseLine(std::string_view line);
 
   /// One record parsed inside a chunk, before the absolute year is
@@ -47,7 +50,7 @@ class SyslogParser {
     ErrorRecord rec;  // time unset; recovered unset (see is_recovery)
     int year_delta = 0;
     int month = 0, day = 0, hour = 0, minute = 0, second = 0;
-    bool is_recovery = false;  // Lustre recovery line (closes an incident)
+    bool is_recovery = false;  // Lustre recovery line: recovered = time
   };
 
   /// A chunk's private output plus the year-rollover summary the ordered
@@ -68,16 +71,15 @@ class SyslogParser {
                           std::uint64_t first_line_no,
                           const QuarantineConfig* capture);
 
-  /// Folds chunks — in order — through the year-reconstruction and
-  /// incident-pairing state machines, updating this parser's stream
-  /// state, stats, and `sink`.  Any incident still open at end-of-input
-  /// is closed with the default window.
+  /// Folds chunks — in order — through the year reconstruction,
+  /// updating this parser's stream state, stats, and `sink`.  Emits one
+  /// record per pre-record, in line order.
   std::vector<ErrorRecord> ReduceChunks(std::vector<Chunk>&& chunks,
                                         QuarantineSink* sink = nullptr);
 
   /// Parses a whole stream, chunked across `pool` (inline when null),
-  /// and returns the completed records, including paired system
-  /// incidents.  Rejected lines are captured in `sink` when provided.
+  /// and returns its records in line order.  Rejected lines are
+  /// captured in `sink` when provided.
   std::vector<ErrorRecord> ParseLines(
       std::span<const std::string_view> lines, QuarantineSink* sink = nullptr,
       ThreadPool* pool = nullptr,

@@ -421,29 +421,34 @@ TEST(BundleCache, V1EntryIsRejectedAsStaleAndRewritten) {
   const std::string entry = FindBundleEntry(cb.cache_dir);
   ASSERT_NE(entry, "");
 
-  // Stamp the entry as format v1 (the pre-compaction layout).  The
-  // version u32 sits after the 8-byte magic and outside the payload
-  // CRC, so this is exactly what a leftover v1 entry looks like to a v2
-  // build: the version gate must reject it before any column decoding.
-  {
-    std::fstream file(entry, std::ios::in | std::ios::out | std::ios::binary);
-    file.seekp(8);
-    const std::uint32_t v1 = 1;
-    file.write(reinterpret_cast<const char*>(&v1), sizeof(v1));
+  // Stamp the entry as format v1 (the pre-compaction layout), then as
+  // v3 (records with syslog-paired Lustre incidents).  The version u32
+  // sits after the 8-byte magic and outside the payload CRC, so this is
+  // exactly what a leftover old entry looks like to this build: the
+  // version gate must reject it before any column decoding.
+  for (const std::uint32_t old_version : {1u, 3u}) {
+    SCOPED_TRACE(old_version);
+    {
+      std::fstream file(entry,
+                        std::ios::in | std::ios::out | std::ios::binary);
+      file.seekp(8);
+      file.write(reinterpret_cast<const char*>(&old_version),
+                 sizeof(old_version));
+    }
+
+    auto rejected = diver.AnalyzeBundle(cb.bundle_dir);
+    ASSERT_TRUE(rejected.ok()) << rejected.status().ToString();
+    EXPECT_EQ(rejected->cache_outcome, CacheOutcome::kRejected);
+    EXPECT_NE(rejected->cache_note.find("version"), std::string::npos)
+        << rejected->cache_note;
+    ExpectSameAnalysis(*cold, *rejected);
+
+    // The fallback text parse rewrote the entry in the current version.
+    auto warm = diver.AnalyzeBundle(cb.bundle_dir);
+    ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+    EXPECT_EQ(warm->cache_outcome, CacheOutcome::kHit);
+    ExpectSameAnalysis(*cold, *warm);
   }
-
-  auto rejected = diver.AnalyzeBundle(cb.bundle_dir);
-  ASSERT_TRUE(rejected.ok()) << rejected.status().ToString();
-  EXPECT_EQ(rejected->cache_outcome, CacheOutcome::kRejected);
-  EXPECT_NE(rejected->cache_note.find("version"), std::string::npos)
-      << rejected->cache_note;
-  ExpectSameAnalysis(*cold, *rejected);
-
-  // The fallback text parse rewrote the entry in the current version.
-  auto warm = diver.AnalyzeBundle(cb.bundle_dir);
-  ASSERT_TRUE(warm.ok()) << warm.status().ToString();
-  EXPECT_EQ(warm->cache_outcome, CacheOutcome::kHit);
-  ExpectSameAnalysis(*cold, *warm);
 
   fs::remove_all(cb.bundle_dir);
   fs::remove_all(cb.cache_dir);

@@ -2,20 +2,24 @@
 //
 // OpenBundle is what batch, resume, replay and the fleet read a bundle
 // through, and ClaimedTracker is the only code that claims lines.  The
-// mode-agreement suite holds every replay mode to one report on three
-// bundles the loaders used to disagree on: a rotated one, one without
-// hwerr.log, and a full-machine bundle that spans a new year.
+// mode-agreement suite holds batch and every replay mode to one report
+// on three bundles the loaders used to disagree on: a rotated one, one
+// without hwerr.log, and a full-machine bundle that spans a new year.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <regex>
 #include <string>
 #include <vector>
 
 #include "common/crashpoint.hpp"
+#include "common/obs/manifest.hpp"
 #include "common/obs/metrics.hpp"
 #include "common/obs/names.hpp"
+#include "faults/ledger.hpp"
 #include "logdiver/fleet/supervisor.hpp"
 #include "logdiver/logdiver.hpp"
 #include "logdiver/resume.hpp"
@@ -182,6 +186,40 @@ TEST_F(BundleLoaderTest, MissingHwerrReadsEmptyOtherSourcesRequired) {
   fs::remove_all(dir);
 }
 
+TEST_F(BundleLoaderTest, ManifestInputsCoverEveryRotatedSegment) {
+  const std::string dir = TempPath("manifest");
+  fs::remove_all(dir);
+  fs::copy(*dir_, dir);
+  Rotate(dir, "alps.log");
+  Rotate(dir, "syslog.log");
+  auto segments = BundleSegments(StreamInputs::FromBundleDir(dir));
+  ASSERT_TRUE(segments.ok()) << segments.status().ToString();
+  obs::ManifestBuilder manifest("bundle_loader_test");
+  for (const BundleSegment& segment : *segments) {
+    manifest.AddInput(segment.path);
+  }
+  // Per family: the bytes the manifest lists against the bytes on disk.
+  const std::string json = manifest.ToJson();
+  const std::regex input("\"path\": \"[^\"]*/(\\w+)\\.log[.0-9]*\",\\s*"
+                         "\"bytes\": (\\d+)");
+  std::map<std::string, std::uint64_t> listed;
+  for (std::sregex_iterator it(json.begin(), json.end(), input), end;
+       it != end; ++it) {
+    listed[(*it)[1]] += std::stoull((*it)[2]);
+  }
+  std::map<std::string, std::uint64_t> on_disk;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    const std::string name = entry.path().filename().string();
+    const std::size_t log = name.find(".log");
+    if (log != std::string::npos) {
+      on_disk[name.substr(0, log)] += entry.file_size();
+    }
+  }
+  EXPECT_EQ(segments->size(), 6u);  // alps and syslog in two segments
+  EXPECT_EQ(listed, on_disk);
+  fs::remove_all(dir);
+}
+
 #if !defined(LOGDIVER_OBS_DISABLED)
 std::uint64_t BytesMapped() {
   return obs::Registry::Get()
@@ -223,8 +261,9 @@ TEST_F(BundleLoaderTest, FleetParentMapsTheBundleOnce) {
 
 // --- mode agreement -----------------------------------------------------
 
-/// One report per replay mode over the same bundle.
+/// One report per mode over the same bundle: batch and every replay mode.
 struct ModeReports {
+  std::uint32_t batch = 0;
   std::uint32_t replay = 0;
   std::uint32_t resume = 0;
   bool crash_resume_matches = false;
@@ -238,6 +277,10 @@ ModeReports RunModes(const Machine& machine, const std::string& dir) {
   ModeReports out;
   const StreamInputs inputs = StreamInputs::FromBundleDir(dir);
   const LogDiverConfig config;
+
+  auto batch = LogDiver(machine, config).AnalyzeBundle(dir);
+  EXPECT_TRUE(batch.ok()) << batch.status().ToString();
+  if (batch.ok()) out.batch = FingerprintReport(batch->metrics);
 
   StreamingAnalyzer analyzer(machine, config);
   auto total = ReplayBundle(config, inputs, ReplaySchedule{}, analyzer);
@@ -288,6 +331,7 @@ ModeReports RunModes(const Machine& machine, const std::string& dir) {
 }
 
 void ExpectModesAgree(const ModeReports& m) {
+  EXPECT_EQ(m.replay, m.batch);
   EXPECT_EQ(m.resume, m.replay);
   EXPECT_TRUE(m.crash_resume_matches);
   EXPECT_EQ(m.fleet1, m.replay);
@@ -364,20 +408,20 @@ TEST_F(ModeAgreementTest, YearSpanningFullMachineBundle) {
   auto batch = LogDiver(machine, {}).AnalyzeBundle(dir);
   ASSERT_TRUE(batch.ok()) << batch.status().ToString();
   EXPECT_EQ(m.runs, batch->runs.size());
-  // Lustre is left out: streaming still counts both lines of a paired
-  // incident as raw events (ROADMAP item 1).
-  for (const ErrorCategory category :
-       {ErrorCategory::kMachineCheck, ErrorCategory::kGpuXid}) {
-    const CategoryRow* stream = Row(m.report, category);
-    const CategoryRow* want = Row(batch->metrics, category);
-    ASSERT_NE(stream, nullptr);
-    ASSERT_NE(want, nullptr);
-    EXPECT_GT(want->tuples, 0u);
-    EXPECT_EQ(stream->tuples, want->tuples);
-    EXPECT_EQ(stream->fatal_tuples, want->fatal_tuples);
-    EXPECT_EQ(stream->raw_events, want->raw_events);
-    EXPECT_EQ(stream->fatal_mtbe_hours, want->fatal_mtbe_hours);
-  }
+
+  // One event per detected Lustre incident, as the injector's ledger
+  // counts them: every error line counts once, overlapping reports
+  // included, and no recovery line does.
+  auto campaign = RunCampaign(machine, config);
+  ASSERT_TRUE(campaign.ok()) << campaign.status().ToString();
+  const FaultLedger ledger =
+      BuildFaultLedger(campaign->workload, campaign->injection);
+  const CategoryTally& lustre =
+      ledger.by_category[static_cast<std::size_t>(ErrorCategory::kLustre)];
+  const CategoryRow* row = Row(batch->metrics, ErrorCategory::kLustre);
+  ASSERT_NE(row, nullptr);
+  EXPECT_GT(row->raw_events, 0u);
+  EXPECT_EQ(row->raw_events, lustre.injected - lustre.undetected);
 }
 
 }  // namespace

@@ -139,10 +139,13 @@ TEST_F(CoalesceTest, ResolvesGeminiLocation) {
 }
 
 TEST_F(CoalesceTest, SystemScopeHasNoNodes) {
-  ErrorRecord lustre = Rec(1000, ErrorCategory::kLustre, Severity::kFatal,
-                           LocScope::kSystem, "");
-  lustre.recovered = TimePoint(1900);
-  const auto tuples = CoalesceEvents(machine_, {lustre}, config_, nullptr);
+  const ErrorRecord lustre = Rec(1000, ErrorCategory::kLustre,
+                                 Severity::kFatal, LocScope::kSystem, "");
+  ErrorRecord recovery = Rec(1900, ErrorCategory::kLustre,
+                             Severity::kCorrected, LocScope::kSystem, "");
+  recovery.recovered = recovery.time;
+  const auto tuples =
+      CoalesceEvents(machine_, {lustre, recovery}, config_, nullptr);
   ASSERT_EQ(tuples.size(), 1u);
   EXPECT_TRUE(tuples[0].nodes.empty());
   ASSERT_TRUE(tuples[0].recovered.has_value());

@@ -216,29 +216,46 @@ TEST(ParallelParse, SyslogRolloverCountsLinesThatFailAfterMonthValidation) {
   }
 }
 
-TEST(ParallelParse, SyslogLustrePairingSpansChunkBoundaries) {
+TEST(ParallelParse, SyslogLustreLinesMatchParseLineAcrossChunks) {
+  // The parser keeps no incident state: every Lustre line is one record,
+  // a recovery line with `recovered` at its own time, whether parsed
+  // line by line or chunked with the chunk boundary anywhere.
   const std::vector<std::string> lines = {
       "Apr  1 10:00:00 sonexion LustreError: ost12 failing over",
       "Apr  1 10:05:00 sonexion LustreError: ost12 still degraded",
       "Apr  1 10:30:00 sonexion Lustre: ost12 recovered after failover",
+      "Apr  1 10:31:00 sonexion Lustre: ost12 recovered after failover",
       "Apr  2 08:00:00 sonexion LustreError: mdt0 unresponsive",
   };
+  SyslogParser line_parser(2013);
+  std::vector<ErrorRecord> want;
+  for (const std::string& line : lines) {
+    auto rec = line_parser.ParseLine(line);
+    ASSERT_TRUE(rec.ok() && rec->has_value()) << line;
+    want.push_back(**rec);
+  }
+  for (const ErrorRecord& rec : want) {
+    EXPECT_EQ(rec.category, ErrorCategory::kLustre);
+    EXPECT_EQ(rec.scope, LocScope::kSystem);
+  }
+  EXPECT_FALSE(want[1].recovered.has_value());
+  EXPECT_EQ(want[1].severity, Severity::kFatal);
+  EXPECT_EQ(want[2].recovered, want[2].time);
+  EXPECT_EQ(want[3].recovered, want[3].time);
+
   const std::vector<std::string_view> views = Views(lines);
   ThreadPool pool(4);
   for (std::size_t chunk_lines : {std::size_t{1}, std::size_t{2},
-                                  std::size_t{100}}) {
+                                  std::size_t{3}, std::size_t{100}}) {
+    SCOPED_TRACE(chunk_lines);
     SyslogParser parser(2013);
     const auto records = parser.ParseLines(
         std::span<const std::string_view>(views), nullptr, &pool, chunk_lines);
-    // Incident 1 (two overlapping error lines merged) closed by the
-    // recovery; incident 2 left open and default-closed at end of input.
-    ASSERT_EQ(records.size(), 2u) << "chunk_lines=" << chunk_lines;
-    ASSERT_TRUE(records[0].recovered.has_value());
-    EXPECT_EQ(*records[0].recovered - records[0].time, Duration::Minutes(30))
-        << "chunk_lines=" << chunk_lines;
-    ASSERT_TRUE(records[1].recovered.has_value());
-    EXPECT_EQ(*records[1].recovered - records[1].time, Duration::Minutes(30))
-        << "chunk_lines=" << chunk_lines;  // kDefaultOpenIncidentSeconds
+    ASSERT_EQ(records.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      ExpectSameRecord(want[i], records[i], i);
+    }
+    ExpectSameStats(line_parser.stats(), parser.stats());
   }
 }
 

@@ -414,6 +414,8 @@ TEST_F(AnalyzerSnapshotTest, RestoreRejectsStreamStateV2) {
   // Version 3 moved records to the columnar encoding; a version-2
   // payload (row-wise records, written map keys) must be refused
   // outright, not misparsed — resume then restarts from the raw logs.
+  // Version 4 added the coalescer's open-incident flags, so a version-3
+  // payload is refused the same way.
   StreamingAnalyzer a(*machine_, LogDiverConfig{});
   const EmittedLogs& logs = campaign_->logs;
   for (std::size_t i = 0; i < logs.alps.size() / 2; ++i) {
@@ -421,15 +423,16 @@ TEST_F(AnalyzerSnapshotTest, RestoreRejectsStreamStateV2) {
   }
   std::vector<std::uint8_t> snapshot = TakeSnapshot(a);
   SnapshotReader current(snapshot);
-  EXPECT_EQ(current.U32(), 3u);
-  const std::vector<std::uint8_t> v2 = {2, 0, 0, 0};
-  std::copy(v2.begin(), v2.end(), snapshot.begin());
-
-  StreamingAnalyzer b(*machine_, LogDiverConfig{});
-  SnapshotReader r(snapshot);
-  const Status restored = b.Restore(r);
-  EXPECT_EQ(restored.code(), StatusCode::kFailedPrecondition)
-      << restored.ToString();
+  EXPECT_EQ(current.U32(), 4u);
+  for (const std::uint8_t old_version : {2, 3}) {
+    SCOPED_TRACE(static_cast<int>(old_version));
+    snapshot[0] = old_version;
+    StreamingAnalyzer b(*machine_, LogDiverConfig{});
+    SnapshotReader r(snapshot);
+    const Status restored = b.Restore(r);
+    EXPECT_EQ(restored.code(), StatusCode::kFailedPrecondition)
+        << restored.ToString();
+  }
 }
 
 TEST_F(AnalyzerSnapshotTest, QuarantineOverflowSurvivesRoundTrip) {

@@ -167,38 +167,6 @@ TEST(SyslogParser, NoSpuriousRolloverWithinYear) {
   EXPECT_EQ(ToCalendar((*later)->time).year, 2013);
 }
 
-TEST(SyslogParser, LustreIncidentPairing) {
-  SyslogParser parser(2013);
-  const std::vector<std::string> lines = {
-      "Apr  1 02:00:00 sonexion LustreError: 11-0: snx11003-OST0042: "
-      "operation ost_write failed: service unavailable",
-      "Apr  1 02:15:00 sonexion Lustre: snx11003-OST0042: service recovered",
-      "Apr  2 05:00:00 sonexion LustreError: 11-0: snx11003-OST0042: "
-      "operation ost_write failed: service unavailable",
-  };
-  const auto records = parser.ParseLines(lines);
-  ASSERT_EQ(records.size(), 2u);
-  EXPECT_EQ(records[0].category, ErrorCategory::kLustre);
-  EXPECT_EQ(records[0].scope, LocScope::kSystem);
-  ASSERT_TRUE(records[0].recovered.has_value());
-  EXPECT_EQ((*records[0].recovered - records[0].time).seconds(), 900);
-  // Open incident at end-of-stream gets the default window.
-  ASSERT_TRUE(records[1].recovered.has_value());
-  EXPECT_EQ((*records[1].recovered - records[1].time).seconds(), 1800);
-}
-
-TEST(SyslogParser, OverlappingLustreReportsMerge) {
-  SyslogParser parser(2013);
-  const std::vector<std::string> lines = {
-      "Apr  1 02:00:00 sonexion LustreError: service unavailable",
-      "Apr  1 02:01:00 sonexion LustreError: service unavailable",
-      "Apr  1 02:10:00 sonexion Lustre: service recovered",
-  };
-  const auto records = parser.ParseLines(lines);
-  ASSERT_EQ(records.size(), 1u);
-  EXPECT_TRUE(records[0].recovered.has_value());
-}
-
 TEST(SyslogParser, MalformedCounted) {
   SyslogParser parser(2013);
   EXPECT_FALSE(parser.ParseLine("too short").ok());
