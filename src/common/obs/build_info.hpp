@@ -1,8 +1,9 @@
-// Build provenance baked in at configure time: which git commit, build
-// type, compiler and flags produced this binary.  The run manifest
-// embeds this so every number in EXPERIMENTS.md can be traced to the
-// exact build that measured it.  Values come from CMake (configure_file
-// over build_info.cpp.in); a source tree without git reports "unknown".
+// Build provenance: which git commit, build type, compiler and flags
+// produced this binary.  The run manifest embeds this so every number in
+// EXPERIMENTS.md can be traced to the exact build that measured it.
+// CMake configures build_info.cpp.in, and every build re-reads the git
+// SHA (obs/build_info.cmake), so a rebuilt tree never carries an older
+// commit's SHA; a source tree without git reports "unknown".
 #pragma once
 
 namespace ld::obs {

@@ -91,6 +91,13 @@ Result<std::optional<AlpsRecord>> ParseLineImpl(std::string_view line) {
 
 }  // namespace
 
+AlpsKey AlpsKey::Of(const AlpsRecord& record) {
+  if (record.apid >> 62 != 0) return AlpsKey();
+  return AlpsKey(record.apid << 2 |
+                 (record.kind == AlpsRecord::Kind::kPlace ? kPlaceTag
+                                                          : kEndTag));
+}
+
 Result<std::optional<AlpsRecord>> AlpsParser::ParseLine(std::string_view line) {
   ++stats_.lines;
   auto rec = ParseLineImpl(line);

@@ -21,6 +21,33 @@
 
 namespace ld {
 
+/// What a fleet worker needs to know about an ALPS line it does not
+/// parse: the run it belongs to and whether it places or terminates
+/// that run.  The replay loader computes one per line in the same
+/// ParseLine call that claims the line (resume.hpp LoadReplayInput), so
+/// a worker can run the lifecycle of a run it does not own without
+/// touching the text.  One u64: apid << 2 | kind, 0 for "not a record"
+/// (malformed and skipped lines, and apids too large to pack — those
+/// are parsed like any keyless line).
+class AlpsKey {
+ public:
+  AlpsKey() = default;
+  /// The key of a parsed record.
+  static AlpsKey Of(const AlpsRecord& record);
+  static AlpsKey FromBits(std::uint64_t bits) { return AlpsKey(bits); }
+
+  std::uint64_t bits() const { return bits_; }
+  bool is_record() const { return bits_ != 0; }
+  bool placement() const { return (bits_ & 3) == kPlaceTag; }
+  ApId apid() const { return bits_ >> 2; }
+
+ private:
+  static constexpr std::uint64_t kPlaceTag = 1;
+  static constexpr std::uint64_t kEndTag = 2;
+  explicit AlpsKey(std::uint64_t bits) : bits_(bits) {}
+  std::uint64_t bits_ = 0;
+};
+
 class AlpsParser {
  public:
   using Chunk = ParsedChunk<AlpsRecord>;
@@ -47,6 +74,13 @@ class AlpsParser {
   /// Legacy overload for owning line vectors; single-threaded.
   std::vector<AlpsRecord> ParseLines(const std::vector<std::string>& lines,
                                      QuarantineSink* sink = nullptr);
+
+  /// Counts a record line the caller keyed instead of parsing (a fleet
+  /// worker's unowned runs), so the stats match a full parse.
+  void CountKeyedRecord() {
+    ++stats_.lines;
+    ++stats_.records;
+  }
 
   const ParseStats& stats() const { return stats_; }
   /// Checkpoint-restore hook: the parser's only cross-line state is its

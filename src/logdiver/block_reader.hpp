@@ -2,8 +2,8 @@
 // aligned blocks, each block split into string_view lines.
 //
 // The batch pipeline reads multi-gigabyte bundles; copying every line
-// into a std::string (the old ReadLines path) doubles the memory and
-// burns the parse budget on allocator traffic.  Here the file is mapped
+// into a std::string doubles the memory and burns the parse budget on
+// allocator traffic.  Here the file is mapped
 // once (with a read-into-buffer fallback for filesystems that refuse
 // mmap), cut into ~4 MB blocks whose edges land on newline boundaries —
 // so a line spanning a block edge belongs wholly to the earlier block —
@@ -11,9 +11,9 @@
 // Every line is a view into the mapping: zero copies until a parser
 // materializes the fields it keeps.
 //
-// Line semantics match the legacy ReadLines exactly: '\n' terminates a
-// line, a trailing '\r' is stripped (CRLF logs), a final unterminated
-// line is kept, and a trailing newline does not produce an empty line.
+// Line semantics: '\n' terminates a line, a trailing '\r' is stripped
+// (CRLF logs), a final unterminated line is kept, and a trailing
+// newline does not produce an empty line.
 #pragma once
 
 #include <cstddef>
@@ -72,8 +72,8 @@ class MappedFile {
 std::vector<std::string_view> SplitBlocks(std::string_view data,
                                           std::size_t target_block_bytes);
 
-/// Appends the lines of `block` to `out` (ReadLines semantics, see the
-/// file comment).  Views alias `block`.
+/// Appends the lines of `block` to `out` (line semantics in the file
+/// comment).  Views alias `block`.
 void AppendLines(std::string_view block, std::vector<std::string_view>* out);
 
 /// Splits a whole buffer into lines: blocks are split in parallel on the

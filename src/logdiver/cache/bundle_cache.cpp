@@ -519,7 +519,7 @@ Status BundleCache::Store(const CacheKeys& keys,
   return Status::Ok();
 }
 
-Result<ClaimedColumns> BundleCache::LoadClaims(
+Result<ReplayKeys> BundleCache::LoadClaims(
     std::uint64_t input_fingerprint, int base_year,
     const std::array<std::size_t, kNumLogSources>& line_counts) const {
   const std::string path = ClaimsPath(input_fingerprint);
@@ -545,7 +545,7 @@ Result<ClaimedColumns> BundleCache::LoadClaims(
     r.Fail(path + " was written under base year " +
            std::to_string(entry_year));
   }
-  ClaimedColumns out;
+  ReplayKeys out;
   for (std::size_t s = 0; s < kNumLogSources && r.ok(); ++s) {
     std::vector<std::int64_t> column;
     GetPodColumn(r, column);
@@ -555,27 +555,38 @@ Result<ClaimedColumns> BundleCache::LoadClaims(
              " does not match the bundle's line count");
       break;
     }
-    out[s].reserve(column.size());
-    for (const std::int64_t t : column) out[s].push_back(TimePoint(t));
+    out.claimed[s].reserve(column.size());
+    for (const std::int64_t t : column) out.claimed[s].push_back(TimePoint(t));
+  }
+  std::vector<std::uint64_t> keys;
+  if (r.ok()) GetPodColumn(r, keys);
+  if (r.ok() && keys.size() !=
+                    line_counts[static_cast<std::size_t>(LogSource::kAlps)]) {
+    r.Fail(path + " ALPS key column does not match the bundle's line count");
   }
   if (!r.ok()) return reject(r.status());
+  out.alps.reserve(keys.size());
+  for (const std::uint64_t bits : keys) out.alps.push_back(AlpsKey::FromBits(bits));
   LD_OBS_COUNTER_ADD(obs::names::kCacheHitsTotal, 1);
   TouchEntry(path);
   return out;
 }
 
 Status BundleCache::StoreClaims(std::uint64_t input_fingerprint,
-                                int base_year,
-                                const ClaimedColumns& claimed) const {
+                                int base_year, const ReplayKeys& keys) const {
   SnapshotWriter w;
   w.U8(kKindClaims);
   w.I32(base_year);
-  for (const auto& column : claimed) {
+  for (const auto& column : keys.claimed) {
     std::vector<std::int64_t> seconds;
     seconds.reserve(column.size());
     for (const TimePoint t : column) seconds.push_back(t.unix_seconds());
     PutPodColumn(w, seconds);
   }
+  std::vector<std::uint64_t> bits;
+  bits.reserve(keys.alps.size());
+  for (const AlpsKey key : keys.alps) bits.push_back(key.bits());
+  PutPodColumn(w, bits);
   LD_TRY(WriteEntry(dir_, ClaimsPath(input_fingerprint), input_fingerprint,
                     {w.bytes()}));
   EnforceCap();

@@ -10,10 +10,10 @@
 //                       plus an optional memoized AnalysisResult
 //                       section (keyed additionally by an
 //                       analysis-config + machine-geometry hash).
-//   claims-<fp>.ldpbc   Per-line claimed-time columns for the replay
-//                       loader (resume.hpp LoadReplayInput; keyed by
-//                       the syslog base year), replacing the
-//                       ClaimedTracker pass over the whole bundle.
+//   claims-<fp>.ldpbc   Per-line claimed-time columns and the ALPS key
+//                       column for the replay loader (resume.hpp
+//                       LoadReplayInput; keyed by the syslog base
+//                       year), replacing its key pass over the bundle.
 //
 // Safety model (docs/FORMATS.md "Parsed-bundle cache"): every load
 // validates magic, format version, payload size, payload CRC-32, the
@@ -56,10 +56,11 @@ namespace ld::cache {
 /// "Parsed-bundle cache v3").  Version 4 keeps the layout and retires
 /// records whose syslog parse had paired Lustre incidents: the
 /// coalescer now pairs them from one record per line (docs/FORMATS.md
-/// "Parsed-bundle cache v4").  Older entries are rejected as stale —
-/// loudly, with the text-parse fallback — and rewritten on the next
-/// store.
-inline constexpr std::uint32_t kBundleCacheVersion = 4;
+/// "Parsed-bundle cache v4").  Version 5 appends the ALPS key column to
+/// claims entries (docs/FORMATS.md "Parsed-bundle cache v5").  Older
+/// entries are rejected as stale — loudly, with the text-parse
+/// fallback — and rewritten on the next store.
+inline constexpr std::uint32_t kBundleCacheVersion = 5;
 /// The entry file kind: magic "LDPBCHE1", deliberately distinct from
 /// the snapshot magic — a checkpoint copied into a cache directory (or
 /// vice versa) must fail the very first header check.
@@ -110,6 +111,14 @@ struct LoadedEntry {
 /// the length of that source's line stream.
 using ClaimedColumns = std::array<std::vector<TimePoint>, kNumLogSources>;
 
+/// What the replay loader's key pass yields (resume.hpp
+/// LoadReplayInput), and what a claims entry stores: one claimed time
+/// per line of every source and one AlpsKey per ALPS line.
+struct ReplayKeys {
+  ClaimedColumns claimed;
+  std::vector<AlpsKey> alps;
+};
+
 class BundleCache {
  public:
   /// `max_bytes` caps the total size of *.ldpbc entries in `dir`
@@ -145,14 +154,15 @@ class BundleCache {
                const std::vector<std::uint8_t>& parsed_bytes,
                const AnalysisResult& result) const;
 
-  /// Loads claimed-time columns; `line_counts` are the per-source line
-  /// counts of the live bundle (a mismatch rejects the entry).
-  Result<ClaimedColumns> LoadClaims(
+  /// Loads the claimed-time and ALPS key columns; `line_counts` are the
+  /// per-source line counts of the live bundle (a mismatch rejects the
+  /// entry).
+  Result<ReplayKeys> LoadClaims(
       std::uint64_t input_fingerprint, int base_year,
       const std::array<std::size_t, kNumLogSources>& line_counts) const;
 
   Status StoreClaims(std::uint64_t input_fingerprint, int base_year,
-                     const ClaimedColumns& claimed) const;
+                     const ReplayKeys& keys) const;
 
  private:
   /// Deletes least-recently-used entries until the directory is back

@@ -244,12 +244,10 @@ Result<FleetSummary> ShardSupervisor::Run(const StreamInputs& inputs,
     return true;
   };
 
-  while (abort_status.ok()) {
-    bool all_resolved = true;
+  // Launch phase: start every pending shard and every retry whose
+  // backoff has passed, in shard-index order.
+  auto launch_ready = [&] {
     const Clock::time_point now = Clock::now();
-
-    // Launch phase: start every pending shard and every retry whose
-    // backoff has passed, in shard-index order.
     for (ShardState& s : shards) {
       const bool launchable =
           s.phase == ShardState::Phase::kPending ||
@@ -267,7 +265,7 @@ Result<FleetSummary> ShardSupervisor::Run(const StreamInputs& inputs,
         abort_status = InternalError("fleet: shard " +
                                      std::to_string(s.out.shard_index) +
                                      ": " + pid.status().message());
-        break;
+        return;
       }
       s.pid = *pid;
       s.deadline =
@@ -275,51 +273,63 @@ Result<FleetSummary> ShardSupervisor::Run(const StreamInputs& inputs,
       s.phase = ShardState::Phase::kRunning;
       LD_OBS_COUNTER_ADD(obs::names::kFleetWorkersSpawnedTotal, 1);
     }
+  };
 
-    // Poll phase: reap exits, escalate deadline blowers to SIGKILL.
-    for (ShardState& s : shards) {
-      if (s.phase != ShardState::Phase::kDone &&
-          s.phase != ShardState::Phase::kDropped) {
-        all_resolved = false;
+  {
+    LD_OBS_SPAN("fleet/spawn");
+    launch_ready();
+  }
+  {
+    // Retries relaunch inside this span, after their backoff.
+    LD_OBS_SPAN("fleet/wait");
+    while (abort_status.ok()) {
+      bool all_resolved = true;
+      // Poll phase: reap exits, escalate deadline blowers to SIGKILL.
+      for (ShardState& s : shards) {
+        if (s.phase != ShardState::Phase::kDone &&
+            s.phase != ShardState::Phase::kDropped) {
+          all_resolved = false;
+        }
+        if (s.phase != ShardState::Phase::kRunning) continue;
+        const auto exit = PollChild(s.pid, s.deadline);
+        if (!exit.ok()) {
+          abort_status = InternalError("fleet: shard " +
+                                       std::to_string(s.out.shard_index) +
+                                       ": " + exit.status().message());
+          break;
+        }
+        if (!exit->has_value()) continue;
+        s.pid = -1;
+        const ChildExit& ended = **exit;
+        if (ended.hung) {
+          ++s.out.hangs_killed;
+          LD_OBS_COUNTER_ADD(obs::names::kFleetWorkerHangsKilledTotal, 1);
+        }
+        if (ended.crashed()) {
+          ++s.out.crashes;
+          LD_OBS_COUNTER_ADD(obs::names::kFleetWorkerCrashesTotal, 1);
+          retry_or_drop(s);
+        } else if (ended.code != 0) {
+          // Ordinary failure: the child's error (ingest budget, bad
+          // input) passes through; retrying cannot fix it.
+          abort_status = FailedPreconditionError(
+              "fleet: shard " + std::to_string(s.out.shard_index) +
+              " failed ordinarily (exit " + std::to_string(ended.code) +
+              "); see its stderr");
+          break;
+        } else if (validate_partial(s)) {
+          s.phase = ShardState::Phase::kDone;
+          s.out.completed = true;
+        } else {
+          retry_or_drop(s);
+        }
+        if (!abort_status.ok()) break;
       }
-      if (s.phase != ShardState::Phase::kRunning) continue;
-      const auto exit = PollChild(s.pid, s.deadline);
-      if (!exit.ok()) {
-        abort_status = InternalError("fleet: shard " +
-                                     std::to_string(s.out.shard_index) +
-                                     ": " + exit.status().message());
-        break;
-      }
-      if (!exit->has_value()) continue;
-      s.pid = -1;
-      const ChildExit& ended = **exit;
-      if (ended.hung) {
-        ++s.out.hangs_killed;
-        LD_OBS_COUNTER_ADD(obs::names::kFleetWorkerHangsKilledTotal, 1);
-      }
-      if (ended.crashed()) {
-        ++s.out.crashes;
-        LD_OBS_COUNTER_ADD(obs::names::kFleetWorkerCrashesTotal, 1);
-        retry_or_drop(s);
-      } else if (ended.code != 0) {
-        // Ordinary failure: the child's error (ingest budget, bad
-        // input) passes through; retrying cannot fix it.
-        abort_status = FailedPreconditionError(
-            "fleet: shard " + std::to_string(s.out.shard_index) +
-            " failed ordinarily (exit " + std::to_string(ended.code) +
-            "); see its stderr");
-        break;
-      } else if (validate_partial(s)) {
-        s.phase = ShardState::Phase::kDone;
-        s.out.completed = true;
-      } else {
-        retry_or_drop(s);
-      }
-      if (!abort_status.ok()) break;
+
+      if (!abort_status.ok() || all_resolved) break;
+      ::usleep(2000);
+      launch_ready();
     }
-
-    if (!abort_status.ok() || all_resolved) break;
-    ::usleep(2000);
   }
 
   if (!abort_status.ok()) {
@@ -330,6 +340,7 @@ Result<FleetSummary> ShardSupervisor::Run(const StreamInputs& inputs,
   // Merge phase: ascending shard index (the documented canonical
   // order; the algebra is order-free, the bytes we compare are not
   // allowed to depend on that).
+  LD_OBS_SPAN("fleet/merge");
   const std::uint64_t merge_start_ns = LD_OBS_NOW_NS();
   FleetSummary summary;
   summary.bundle_fingerprint = fingerprint;

@@ -2,18 +2,25 @@
 // bundle analysis across N worker processes and merges their partial
 // aggregates back into one MetricsReport.
 //
-// Partitioning is SPMD ownership, not input splitting: the supervisor
-// loads the bundle and its claimed times once (resume.hpp
-// LoadReplayInput) before forking, and every worker replays that
-// inherited copy whole with the deterministic schedule of the serial
-// analyzer (resume.hpp ReplayBundle), so parsing, coalescing and
-// classification context are bit-identical everywhere; each worker only
-// folds its owned runs (`apid % shard_count`) and tuples
+// Partitioning is SPMD ownership over a divided ALPS stream: the
+// supervisor loads the bundle once and keys every line (resume.hpp
+// LoadReplayInput: claimed times, plus each ALPS line's apid and
+// placement/termination kind) before forking.  Every worker replays the
+// inherited copy with the deterministic schedule of the serial analyzer
+// (resume.hpp ReplayBundle), but parses only the ALPS records of the runs
+// it owns (`apid % shard_count`); for the others it runs the same run
+// lifecycle on a shadow run that holds only the apid and its times
+// (StreamingAnalyzer::AddAlpsLine), so pending eviction and every
+// bundle-wide counter stay identical everywhere.  Torque, syslog and
+// hwerr are replayed whole: job context and coalescing need them, so
+// the classification context is bit-identical on every worker.  Each
+// worker classifies and folds only its owned runs and tuples
 // (`id % shard_count`) into its MetricsAccumulator (ShardSpec,
 // logdiver.hpp).  Disjoint ownership makes the partials merge-exact:
 // the supervisor's merged report is bit-identical to the serial
 // analyzer's — bench/fleet_campaign asserts this across a worker-fault
-// sweep.
+// sweep.  Spans `fleet/spawn`, `fleet/wait` and `fleet/merge` split the
+// parent's time after the `claims` pass.
 //
 // The loop is hardened end-to-end, following the detection /
 // containment / recovery layering of the resilience design patterns

@@ -16,16 +16,6 @@
 
 namespace ld {
 
-Result<std::vector<std::string>> ReadLines(const std::string& path) {
-  LD_ASSIGN_OR_RETURN(const MappedFile file, MappedFile::Open(path));
-  std::vector<std::string_view> views;
-  AppendLines(file.data(), &views);
-  std::vector<std::string> lines;
-  lines.reserve(views.size());
-  for (const std::string_view line : views) lines.emplace_back(line);
-  return lines;
-}
-
 Result<std::vector<std::string>> RotationSegments(const std::string& base) {
   namespace fs = std::filesystem;
   std::error_code ec;
@@ -74,20 +64,13 @@ Result<std::vector<std::string>> ReadRotatedLines(const std::string& base) {
   // one before it, and so on.  Read oldest-first so the stream stays
   // chronological (the syslog year reconstruction depends on it).
   LD_ASSIGN_OR_RETURN(const auto segments, RotationSegments(base));
-  std::uintmax_t total_bytes = 0;
-  for (const std::string& path : segments) {
-    std::error_code ec;
-    const std::uintmax_t size = std::filesystem::file_size(path, ec);
-    if (!ec) total_bytes += size;
-  }
   std::vector<std::string> lines;
-  // ~64 bytes/line is conservative for these formats; one reservation
-  // instead of doubling growth across a multi-segment family.
-  lines.reserve(static_cast<std::size_t>(total_bytes / 64) + 1);
+  std::vector<std::string_view> views;
   for (const std::string& path : segments) {
-    LD_ASSIGN_OR_RETURN(auto segment, ReadLines(path));
-    lines.insert(lines.end(), std::make_move_iterator(segment.begin()),
-                 std::make_move_iterator(segment.end()));
+    LD_ASSIGN_OR_RETURN(const MappedFile file, MappedFile::Open(path));
+    views.clear();
+    AppendLines(file.data(), &views);
+    lines.insert(lines.end(), views.begin(), views.end());
   }
   return lines;
 }
@@ -121,11 +104,14 @@ Result<MappedBundle> OpenBundle(const StreamInputs& inputs, ThreadPool* pool,
   for (const BundleSegment& segment : segments) {
     LD_OBS_SPAN_DYN("load/" + segment.path);
     LD_ASSIGN_OR_RETURN(MappedFile file, MappedFile::Open(segment.path));
-    const std::vector<std::string_view> lines =
-        SplitLinesParallel(file.data(), pool);
+    std::vector<std::string_view> lines = SplitLinesParallel(file.data(), pool);
     std::vector<std::string_view>* out =
         views[static_cast<std::size_t>(segment.source)];
-    out->insert(out->end(), lines.begin(), lines.end());
+    if (out->empty()) {
+      *out = std::move(lines);  // a family's oldest segment: no copy
+    } else {
+      out->insert(out->end(), lines.begin(), lines.end());
+    }
     bytes += file.size();
     bundle.mappings.push_back(std::move(file));
   }

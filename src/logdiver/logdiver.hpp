@@ -39,10 +39,12 @@
 namespace ld {
 
 /// Ownership filter for multi-process scale-out (src/logdiver/fleet).
-/// With count > 1 the analyzer still ingests the whole stream — parsing,
-/// coalescing and the classification context stay bit-identical on
-/// every worker — but folds only its owned runs and tuples into the
-/// metric accumulators.  Ownership is a disjoint partition (runs by
+/// With count > 1 the analyzer still ingests the whole stream — torque,
+/// syslog and hwerr parsing, coalescing and the classification context
+/// stay bit-identical on every worker, and keyed ALPS records of unowned
+/// runs drive shadow runs instead of being parsed — but classifies and
+/// folds only its owned runs and tuples into the metric accumulators.
+/// Ownership is a disjoint partition (runs by
 /// `apid % count`, tuples by coalescer-assigned `id % count`, both
 /// deterministic), which is what makes per-shard accumulators
 /// merge-exact (MetricsAccumulator::MergeFrom).
@@ -246,11 +248,10 @@ Result<std::vector<BundleSegment>> BundleSegments(const StreamInputs& inputs);
 Result<MappedBundle> OpenBundle(const StreamInputs& inputs, ThreadPool* pool,
                                 bool fingerprint = true);
 
-/// Reads a whole text file into owning lines.
-Result<std::vector<std::string>> ReadLines(const std::string& path);
-
-/// Reads a logrotate family oldest-first: base.N ... base.2, base.1,
-/// then base itself.  A lone base file (no rotations) reads as-is.
+/// Reads a logrotate family oldest-first into owning lines: base.N ...
+/// base.2, base.1, then base itself.  A lone base file (no rotations)
+/// reads as-is.  For callers that want an owning LogSet; every analysis
+/// mode reads a bundle through OpenBundle.
 Result<std::vector<std::string>> ReadRotatedLines(const std::string& base);
 
 /// Resolves a logrotate family to its segment paths, oldest first

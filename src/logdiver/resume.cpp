@@ -34,7 +34,7 @@ void ReplayLoop(const ReplayInput& input, StreamingAnalyzer& analyzer,
                 std::uint64_t heads[kNumLogSources], std::uint64_t& total,
                 const std::function<Status(std::uint64_t total)>& on_line,
                 Status& status) {
-  const auto& claimed = input.claimed;
+  const auto& claimed = input.keys.claimed;
   const std::vector<std::string_view>* lines[kNumLogSources];
   SourceLines(input.bundle.views, lines);
   for (;;) {
@@ -46,13 +46,15 @@ void ReplayLoop(const ReplayInput& input, StreamingAnalyzer& analyzer,
       }
     }
     if (pick < 0) break;
-    const std::string_view line = (*lines[pick])[heads[pick]];
-    const TimePoint time = claimed[pick][heads[pick]];
-    ++heads[pick];
+    const std::uint64_t index = heads[pick]++;
+    const std::string_view line = (*lines[pick])[index];
+    const TimePoint time = claimed[pick][index];
     ++total;
     switch (static_cast<LogSource>(pick)) {
       case LogSource::kTorque: analyzer.AddTorqueLine(line); break;
-      case LogSource::kAlps: analyzer.AddAlpsLine(line); break;
+      case LogSource::kAlps:
+        analyzer.AddAlpsLine(line, input.keys.alps[index], time);
+        break;
       case LogSource::kSyslog: analyzer.AddSyslogLine(line); break;
       case LogSource::kHwerr: analyzer.AddHwerrLine(line); break;
     }
@@ -69,31 +71,37 @@ void ReplayLoop(const ReplayInput& input, StreamingAnalyzer& analyzer,
 
 }  // namespace
 
-TimePoint ClaimedTracker::Claim(LogSource source, std::string_view line) {
+bool ClaimedTracker::Stamp(LogSource source, std::string_view line,
+                           AlpsKey* alps_key) {
   TimePoint& carry = carry_[static_cast<std::size_t>(source)];
+  std::optional<TimePoint> stamp;
   switch (source) {
     case LogSource::kTorque: {
       auto rec = torque_.ParseLine(line);
-      if (rec.ok() && rec->has_value()) carry = (*rec)->time;
+      if (rec.ok() && rec->has_value()) stamp = (*rec)->time;
       break;
     }
     case LogSource::kAlps: {
       auto rec = alps_.ParseLine(line);
-      if (rec.ok() && rec->has_value()) carry = (*rec)->time;
+      const bool record = rec.ok() && rec->has_value();
+      if (record) stamp = (*rec)->time;
+      if (alps_key != nullptr) *alps_key = record ? AlpsKey::Of(**rec) : AlpsKey();
       break;
     }
     case LogSource::kSyslog: {
       auto t = SyslogParser::ClaimTime(line, carry, syslog_base_year_);
-      if (t.ok()) carry = *t;
+      if (t.ok()) stamp = *t;
       break;
     }
     case LogSource::kHwerr: {
       auto rec = hwerr_.ParseLine(line);
-      if (rec.ok() && rec->has_value()) carry = (*rec)->time;
+      if (rec.ok() && rec->has_value()) stamp = (*rec)->time;
       break;
     }
   }
-  return carry;
+  if (!stamp) return false;
+  carry = *stamp;
+  return true;
 }
 
 void ClaimedTracker::SetCarry(LogSource source, TimePoint claimed) {
@@ -114,9 +122,9 @@ Result<ReplayInput> LoadReplayInput(const LogDiverConfig& config,
   const std::uint64_t fingerprint = input.bundle.fingerprint;
   const int base_year = config.syslog_base_year;
 
-  // Claims cache: the claiming re-parse is pure overhead on a bundle
-  // this process family has already seen.  Keyed by the bundle
-  // fingerprint (claims are partition-independent) and the base year.
+  // Claims cache: the key pass is pure overhead on a bundle this
+  // process family has already seen.  Keyed by the bundle fingerprint
+  // (keys are partition-independent) and the base year.
   std::optional<cache::BundleCache> bundle_cache;
   if (!config.bundle_cache_dir.empty()) {
     bundle_cache.emplace(config.bundle_cache_dir,
@@ -125,37 +133,76 @@ Result<ReplayInput> LoadReplayInput(const LogDiverConfig& config,
     for (std::size_t s = 0; s < kNumLogSources; ++s) {
       line_counts[s] = lines[s]->size();
     }
-    auto claims = bundle_cache->LoadClaims(fingerprint, base_year, line_counts);
-    if (claims.ok()) {
-      input.claimed = std::move(*claims);
+    auto keys = bundle_cache->LoadClaims(fingerprint, base_year, line_counts);
+    if (keys.ok()) {
+      input.keys = std::move(*keys);
       return input;
     }
-    if (claims.status().code() != StatusCode::kNotFound) {
+    if (keys.status().code() != StatusCode::kNotFound) {
       // Rejected entry (torn/stale/foreign): fall back loudly, never
-      // silently — the claiming pass below restores correctness.
-      std::fprintf(stderr, "logdiver: %s\n",
-                   claims.status().message().c_str());
+      // silently — the key pass below restores correctness.
+      std::fprintf(stderr, "logdiver: %s\n", keys.status().message().c_str());
     }
   }
   {
     LD_OBS_SPAN("claims");
+    const std::size_t chunk_lines = config.parse_chunk_lines != 0
+                                        ? config.parse_chunk_lines
+                                        : kDefaultParseChunkLines;
+    cache::ReplayKeys& keys = input.keys;
+    keys.alps.resize(lines[static_cast<std::size_t>(LogSource::kAlps)]->size());
+    std::vector<IndexRange> chunks[kNumLogSources];
+    // Per chunk: its first line with a stamp of its own (the chunk's end
+    // when it has none).  The lines before it take the previous chunk's
+    // last claim in the fix-up below.
+    std::vector<std::size_t> first_stamped[kNumLogSources];
     TaskGroup group(pool);
-    for (std::size_t s = 0; s < kNumLogSources; ++s) {
-      group.Run([&input, &lines, s, base_year] {
-        ClaimedTracker tracker(base_year);
-        const auto source = static_cast<LogSource>(s);
-        std::vector<TimePoint>& column = input.claimed[s];
-        column.reserve(lines[s]->size());
-        for (const std::string_view line : *lines[s]) {
-          column.push_back(tracker.Claim(source, line));
-        }
-      });
+    // Syslog first: it is one task, so it should start before the chunks.
+    for (const LogSource source : {LogSource::kSyslog, LogSource::kTorque,
+                                   LogSource::kAlps, LogSource::kHwerr}) {
+      const auto s = static_cast<std::size_t>(source);
+      const std::size_t n = lines[s]->size();
+      keys.claimed[s].resize(n);
+      chunks[s] = source == LogSource::kSyslog
+                      ? std::vector<IndexRange>{IndexRange{0, n}}
+                      : ChunkRanges(n, chunk_lines);
+      first_stamped[s].resize(chunks[s].size());
+      for (std::size_t c = 0; c < chunks[s].size(); ++c) {
+        group.Run([&keys, &lines, &chunks, &first_stamped, source, s, c,
+                   base_year] {
+          LD_OBS_SPAN("claims/chunk");
+          const IndexRange range = chunks[s][c];
+          ClaimedTracker tracker(base_year);
+          std::vector<TimePoint>& column = keys.claimed[s];
+          std::size_t first = range.end;
+          for (std::size_t i = range.begin; i < range.end; ++i) {
+            AlpsKey* key =
+                source == LogSource::kAlps ? &keys.alps[i] : nullptr;
+            if (tracker.Stamp(source, (*lines[s])[i], key) && first == range.end) {
+              first = i;
+            }
+            column[i] = tracker.carry(source);
+          }
+          first_stamped[s][c] = first;
+        });
+      }
     }
     group.Wait();
+    // In chunk order, so a chunk without a stamp passes the carry on.
+    // The first chunk keeps the serial pass's empty carry.
+    for (std::size_t s = 0; s < kNumLogSources; ++s) {
+      std::vector<TimePoint>& column = keys.claimed[s];
+      for (std::size_t c = 1; c < chunks[s].size(); ++c) {
+        const std::size_t begin = chunks[s][c].begin;
+        for (std::size_t i = begin; i < first_stamped[s][c]; ++i) {
+          column[i] = column[begin - 1];
+        }
+      }
+    }
   }
   if (bundle_cache) {
     const Status stored =
-        bundle_cache->StoreClaims(fingerprint, base_year, input.claimed);
+        bundle_cache->StoreClaims(fingerprint, base_year, input.keys);
     if (!stored.ok()) {
       std::fprintf(stderr, "logdiver: %s\n", stored.message().c_str());
     }

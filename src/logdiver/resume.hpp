@@ -67,7 +67,20 @@ class ClaimedTracker {
       : syslog_base_year_(syslog_base_year) {}
 
   /// Claimed time for `line`, updating the per-source carry.
-  TimePoint Claim(LogSource source, std::string_view line);
+  TimePoint Claim(LogSource source, std::string_view line) {
+    Stamp(source, line);
+    return carry(source);
+  }
+
+  /// Updates the carry from `line`; true when the line carried a stamp
+  /// of its own, false when it keeps the carry.  For an ALPS line,
+  /// `alps_key` (when given) receives its AlpsKey from the same parse.
+  bool Stamp(LogSource source, std::string_view line,
+             AlpsKey* alps_key = nullptr);
+
+  TimePoint carry(LogSource source) const {
+    return carry_[static_cast<std::size_t>(source)];
+  }
 
   /// Re-seeds one source's carry (recovery: the snapshot and the
   /// replayed journal records carry the claims, so the parsers never
@@ -83,17 +96,22 @@ class ClaimedTracker {
 };
 
 /// A bundle ready for the deterministic merge: its mapped lines (with
-/// their fingerprint) and one claimed time per line.
+/// their fingerprint), one claimed time per line and one AlpsKey per
+/// ALPS line.
 struct ReplayInput {
   MappedBundle bundle;
-  cache::ClaimedColumns claimed;
+  cache::ReplayKeys keys;
 };
 
-/// Opens `inputs` (OpenBundle) and claims every line, one pool task per
-/// source on a pool sized by `config.threads` that is gone when this
-/// returns — so a caller may fork right after.  With a bundle cache
-/// directory the claims come from (or go to) its claims entry; a
-/// rejected entry is reported on stderr and the claims are recomputed.
+/// Opens `inputs` (OpenBundle) and keys every line in one pass on a pool
+/// sized by `config.threads` that is gone when this returns — so a
+/// caller may fork right after.  Torque, alps and hwerr are claimed in
+/// chunks of `config.parse_chunk_lines`; a chunk's lines before its
+/// first parsable one take the previous chunk's last claim in a serial
+/// fix-up, so the columns equal one ClaimedTracker pass line for line.
+/// Syslog is one task: its year rule chains every line.  With a bundle
+/// cache directory the keys come from (or go to) its claims entry; a
+/// rejected entry is reported on stderr and the keys are recomputed.
 Result<ReplayInput> LoadReplayInput(const LogDiverConfig& config,
                                     const StreamInputs& inputs);
 

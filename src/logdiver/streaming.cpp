@@ -107,9 +107,62 @@ void StreamingAnalyzer::AddTorqueLine(std::string_view line) {
   ++ingest_.duplicate_job_records;
 }
 
-void StreamingAnalyzer::AddAlpsLine(std::string_view line) {
+bool StreamingAnalyzer::PlacementIsNew(ApId apid) {
+  // A placement for an apid we are already tracking (or just finished)
+  // is a replayed record; the first placement wins.
+  if (open_runs_.count(apid) != 0 || recent_terminated_.count(apid) != 0) {
+    ++ingest_.duplicate_placements;
+    return false;
+  }
+  return true;
+}
+
+std::optional<AppRun> StreamingAnalyzer::TakeOpenRun(ApId apid) {
+  const auto it = open_runs_.find(apid);
+  if (it == open_runs_.end()) {
+    if (recent_terminated_.count(apid) != 0) {
+      ++ingest_.duplicate_terminations;  // replayed exit/kill; first won
+    } else {
+      ++orphan_terminations_;
+    }
+    return std::nullopt;
+  }
+  AppRun run = std::move(it->second);
+  open_runs_.erase(it);
+  return run;
+}
+
+void StreamingAnalyzer::QueueTerminated(AppRun&& run) {
+  recent_terminated_.emplace(run.apid, run.end);
+  pending_.push_back(std::move(run));
+  EnforceBounds();
+}
+
+void StreamingAnalyzer::AddAlpsLine(std::string_view line, AlpsKey key,
+                                    TimePoint time) {
   LD_CHECK(!finalized_, "AddAlpsLine on a finalized analyzer");
   if (!SourceOpen(LogSource::kAlps)) return;
+  if (key.is_record() && !config_.shard.OwnsRun(key.apid())) {
+    // Another shard folds this run; only its lifecycle is replayed here,
+    // so pending eviction and the bundle-wide counters stay identical on
+    // every worker.
+    alps_parser_.CountKeyedRecord();
+    if (key.placement()) {
+      if (!PlacementIsNew(key.apid())) return;
+      AppRun shadow;
+      shadow.apid = key.apid();
+      shadow.start = time;
+      shadow.end = time;
+      open_runs_.emplace(shadow.apid, std::move(shadow));
+      return;
+    }
+    std::optional<AppRun> shadow = TakeOpenRun(key.apid());
+    if (!shadow) return;
+    shadow->end = time;
+    shadow->has_termination = true;
+    QueueTerminated(std::move(*shadow));
+    return;
+  }
   auto rec = alps_parser_.ParseLine(line);
   if (!rec.ok()) {
     Reject(LogSource::kAlps, alps_parser_.stats().lines, line, rec.status());
@@ -119,13 +172,7 @@ void StreamingAnalyzer::AddAlpsLine(std::string_view line) {
   if (!rec->has_value()) return;
   AlpsRecord& record = **rec;
   if (record.kind == AlpsRecord::Kind::kPlace) {
-    // A placement for an apid we are already tracking (or just finished)
-    // is a replayed record; the first placement wins.
-    if (open_runs_.count(record.apid) != 0 ||
-        recent_terminated_.count(record.apid) != 0) {
-      ++ingest_.duplicate_placements;
-      return;
-    }
+    if (!PlacementIsNew(record.apid)) return;
     AppRun run;
     run.apid = record.apid;
     run.jobid = record.jobid;
@@ -151,17 +198,9 @@ void StreamingAnalyzer::AddAlpsLine(std::string_view line) {
     return;
   }
   // Termination: close the open run and queue it for classification.
-  const auto it = open_runs_.find(record.apid);
-  if (it == open_runs_.end()) {
-    if (recent_terminated_.count(record.apid) != 0) {
-      ++ingest_.duplicate_terminations;  // replayed exit/kill; first won
-    } else {
-      ++orphan_terminations_;
-    }
-    return;
-  }
-  AppRun run = std::move(it->second);
-  open_runs_.erase(it);
+  std::optional<AppRun> closed = TakeOpenRun(record.apid);
+  if (!closed) return;
+  AppRun& run = *closed;
   run.end = record.time;
   run.has_termination = true;
   if (record.kind == AlpsRecord::Kind::kExit) {
@@ -185,9 +224,7 @@ void StreamingAnalyzer::AddAlpsLine(std::string_view line) {
     run.job_exit_status = job->second.exit_status;
     if (run.user.empty()) run.user = job->second.user;
   }
-  recent_terminated_.emplace(run.apid, run.end);
-  pending_.push_back(std::move(run));
-  EnforceBounds();
+  QueueTerminated(std::move(run));
 }
 
 void StreamingAnalyzer::AddSyslogLine(std::string_view line) {
@@ -221,20 +258,23 @@ void StreamingAnalyzer::AddHwerrLine(std::string_view line) {
 
 void StreamingAnalyzer::ClassifyBatch(std::vector<AppRun>&& batch) {
   if (batch.empty()) return;
-  const std::vector<ErrorTuple> tuples(tuple_buffer_.begin(),
-                                       tuple_buffer_.end());
-  const std::vector<ClassifiedRun> classified =
-      correlator_.Classify(batch, tuples);
-  // Classification context (tuple buffer, batch composition) is the
-  // same on every fleet worker; only the fold into the accumulator is
-  // ownership-filtered, so shard partials merge without double counting.
-  for (const ClassifiedRun& cls : classified) {
-    if (config_.shard.OwnsRun(batch[cls.run_index].apid)) {
-      metrics_.AddRun(batch[cls.run_index], cls);
-    }
-  }
   LD_OBS_COUNTER_ADD(obs::names::kStreamRunsFinalizedTotal, batch.size());
   runs_finalized_ += batch.size();
+  // A run's verdict depends only on the run and the tuple buffer, which
+  // is the same on every fleet worker; each worker classifies and folds
+  // only the runs it owns, so shard partials merge without double
+  // counting, and shadow runs are never classified.
+  if (config_.shard.active()) {
+    std::erase_if(batch, [this](const AppRun& run) {
+      return !config_.shard.OwnsRun(run.apid);
+    });
+    if (batch.empty()) return;
+  }
+  const std::vector<ErrorTuple> tuples(tuple_buffer_.begin(),
+                                       tuple_buffer_.end());
+  for (const ClassifiedRun& cls : correlator_.Classify(batch, tuples)) {
+    metrics_.AddRun(batch[cls.run_index], cls);
+  }
 }
 
 void StreamingAnalyzer::EnforceBounds() {
@@ -385,6 +425,8 @@ StreamingAnalyzer::Summary StreamingAnalyzer::Finalize() {
 
 void StreamingAnalyzer::Snapshot(SnapshotWriter& w) const {
   LD_CHECK(!finalized_, "Snapshot on a finalized analyzer");
+  LD_CHECK(!config_.shard.active(),
+           "Snapshot on a sharded analyzer: shadow runs are not records");
   w.U32(kStreamStateVersion);
   // Geometry sanity: restoring against a different machine would
   // silently misclassify node types.

@@ -26,6 +26,7 @@
 #include <array>
 #include <deque>
 #include <map>
+#include <optional>
 #include <string_view>
 #include <vector>
 
@@ -46,7 +47,17 @@ class StreamingAnalyzer {
   StreamingAnalyzer(const Machine& machine, LogDiverConfig config);
 
   void AddTorqueLine(std::string_view line);
-  void AddAlpsLine(std::string_view line);
+  void AddAlpsLine(std::string_view line) {
+    AddAlpsLine(line, AlpsKey(), TimePoint());
+  }
+  /// The replay form: `key` and `time` come from the loader's key pass
+  /// (resume.hpp LoadReplayInput; a record's claim is its own stamp).
+  /// On a fleet worker, a record of a run the shard does not own skips
+  /// the text: a shadow run that holds only the apid and its times goes
+  /// through the same placement dedup, termination, orphan/duplicate
+  /// counts and pending eviction, and is never joined, classified or
+  /// folded.  Keyless lines (malformed, skipped) parse as above.
+  void AddAlpsLine(std::string_view line, AlpsKey key, TimePoint time);
   void AddSyslogLine(std::string_view line);
   void AddHwerrLine(std::string_view line);
 
@@ -88,6 +99,8 @@ class StreamingAnalyzer {
   /// into an analyzer constructed with the same machine and config
   /// continues the stream bit-identically to never having stopped
   /// (bench/crash_campaign asserts this; layout in docs/FORMATS.md).
+  /// A sharded analyzer (a fleet worker) may not snapshot: its shadow
+  /// runs are not records the layout can hold (LD_CHECK).
   void Snapshot(SnapshotWriter& w) const;
   /// Overwrites this analyzer's state from a snapshot payload.  Errors
   /// on a layout/version mismatch or a snapshot taken on a different
@@ -123,6 +136,15 @@ class StreamingAnalyzer {
   /// Guard between a run's death and the moment every tuple that could
   /// explain it has provably been flushed.
   Duration FinalizeGuard() const;
+  /// The run lifecycle every ALPS record drives, shadow runs included.
+  /// False (and the replay counted) when `apid` is open or recently
+  /// terminated: the first placement wins.
+  bool PlacementIsNew(ApId apid);
+  /// Removes and returns the open run `apid` terminates; counts a
+  /// replayed termination or an orphan when there is none.
+  std::optional<AppRun> TakeOpenRun(ApId apid);
+  /// Queues a terminated run for classification (and replay detection).
+  void QueueTerminated(AppRun&& run);
   void ClassifyBatch(std::vector<AppRun>&& batch);
   void EvictOldState(TimePoint watermark);
   /// Enforces the bounded-growth caps on pending_ and tuple_buffer_.

@@ -166,16 +166,21 @@ TEST(BlockReader, MappedFileSurvivesMove) {
   std::filesystem::remove(path);
 }
 
-TEST(BlockReader, ReadLinesMatchesLegacySemantics) {
-  const std::string path = ::testing::TempDir() + "/ld_block_reader_legacy.txt";
-  {
-    std::ofstream out(path, std::ios::binary);
-    out << "one\r\ntwo\n\nfour";
+TEST(BlockReader, OpenBundleMatchesLegacySemantics) {
+  const std::string dir = ::testing::TempDir() + "/ld_block_reader_legacy";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  for (const char* name : {"torque.log", "alps.log", "syslog.log"}) {
+    std::ofstream out(dir + "/" + name, std::ios::binary);
+    if (std::string(name) == "alps.log") out << "one\r\ntwo\n\nfour";
   }
-  auto lines = ReadLines(path);
-  ASSERT_TRUE(lines.ok());
-  EXPECT_EQ(*lines, (std::vector<std::string>{"one", "two", "", "four"}));
-  std::filesystem::remove(path);
+  auto bundle = OpenBundle(StreamInputs::FromBundleDir(dir), nullptr);
+  ASSERT_TRUE(bundle.ok()) << bundle.status().ToString();
+  EXPECT_EQ(bundle->views.alps,
+            (std::vector<std::string_view>{"one", "two", "", "four"}));
+  EXPECT_TRUE(bundle->views.torque.empty());
+  EXPECT_TRUE(bundle->views.hwerr.empty());
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

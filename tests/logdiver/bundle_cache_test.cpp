@@ -314,26 +314,35 @@ TEST(BundleCache, ClaimsColumnsRoundTripAndValidate) {
   fs::remove_all(dir);
   const cache::BundleCache bundle_cache(dir);
 
-  cache::ClaimedColumns claimed;
+  cache::ReplayKeys keys;
+  auto& claimed = keys.claimed;
   for (std::size_t s = 0; s < kNumLogSources; ++s) {
     for (std::size_t i = 0; i < 5 + s; ++i) {
       claimed[s].push_back(
           TimePoint(1365000000 + static_cast<std::int64_t>(100 * s + i)));
     }
   }
+  for (std::uint64_t i = 0; i < claimed[1].size(); ++i) {
+    keys.alps.push_back(AlpsKey::FromBits(i % 2 == 0 ? 0 : i << 2 | 1));
+  }
   std::array<std::size_t, kNumLogSources> counts{};
   for (std::size_t s = 0; s < kNumLogSources; ++s) counts[s] = claimed[s].size();
 
   const std::uint64_t fp = 0xfeedfacecafebeefull;
-  ASSERT_TRUE(bundle_cache.StoreClaims(fp, 2013, claimed).ok());
+  ASSERT_TRUE(bundle_cache.StoreClaims(fp, 2013, keys).ok());
 
   auto loaded = bundle_cache.LoadClaims(fp, 2013, counts);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   for (std::size_t s = 0; s < kNumLogSources; ++s) {
-    ASSERT_EQ((*loaded)[s].size(), claimed[s].size());
+    ASSERT_EQ(loaded->claimed[s].size(), claimed[s].size());
     for (std::size_t i = 0; i < claimed[s].size(); ++i) {
-      EXPECT_EQ((*loaded)[s][i].unix_seconds(), claimed[s][i].unix_seconds());
+      EXPECT_EQ(loaded->claimed[s][i].unix_seconds(),
+                claimed[s][i].unix_seconds());
     }
+  }
+  ASSERT_EQ(loaded->alps.size(), keys.alps.size());
+  for (std::size_t i = 0; i < keys.alps.size(); ++i) {
+    EXPECT_EQ(loaded->alps[i].bits(), keys.alps[i].bits()) << i;
   }
 
   // Wrong fingerprint: plain miss, not a rejection.
@@ -356,11 +365,12 @@ TEST(BundleCache, V2ClaimsEntryWithYearPinnedClaimsIsRejected) {
   const std::string dir = ::testing::TempDir() + "/ld_bc_claims_v2";
   fs::remove_all(dir);
   const cache::BundleCache bundle_cache(dir);
-  cache::ClaimedColumns claimed;
-  for (auto& column : claimed) column.push_back(TimePoint(1365000000));
+  cache::ReplayKeys keys;
+  for (auto& column : keys.claimed) column.push_back(TimePoint(1365000000));
+  keys.alps.push_back(AlpsKey());
   const std::array<std::size_t, kNumLogSources> counts = {1, 1, 1, 1};
   const std::uint64_t fp = 0x1234;
-  ASSERT_TRUE(bundle_cache.StoreClaims(fp, 2013, claimed).ok());
+  ASSERT_TRUE(bundle_cache.StoreClaims(fp, 2013, keys).ok());
   ASSERT_TRUE(bundle_cache.LoadClaims(fp, 2013, counts).ok());
   {
     std::fstream file(bundle_cache.ClaimsPath(fp),
@@ -550,22 +560,23 @@ TEST_F(LyingCountEntry, QuarantineCountInARecordsHitIsRejectedNotThrown) {
 
 // Small identical claims payloads so every entry has the same size and
 // cap arithmetic is exact.
-cache::ClaimedColumns SmallClaims() {
-  cache::ClaimedColumns claimed;
+cache::ReplayKeys SmallClaims() {
+  cache::ReplayKeys keys;
   for (std::size_t s = 0; s < kNumLogSources; ++s) {
     for (std::size_t i = 0; i < 8; ++i) {
-      claimed[s].push_back(
+      keys.claimed[s].push_back(
           TimePoint(1365000000 + static_cast<std::int64_t>(i)));
     }
   }
-  return claimed;
+  keys.alps.resize(8);
+  return keys;
 }
 
 std::array<std::size_t, kNumLogSources> ClaimCounts(
-    const cache::ClaimedColumns& claimed) {
+    const cache::ReplayKeys& keys) {
   std::array<std::size_t, kNumLogSources> counts{};
   for (std::size_t s = 0; s < kNumLogSources; ++s) {
-    counts[s] = claimed[s].size();
+    counts[s] = keys.claimed[s].size();
   }
   return counts;
 }
@@ -573,7 +584,7 @@ std::array<std::size_t, kNumLogSources> ClaimCounts(
 TEST(BundleCache, CapEvictsLeastRecentlyUsedNotLeastRecentlyWritten) {
   const std::string dir = ::testing::TempDir() + "/ld_bc_lru";
   fs::remove_all(dir);
-  const cache::ClaimedColumns claimed = SmallClaims();
+  const cache::ReplayKeys claimed = SmallClaims();
   const auto counts = ClaimCounts(claimed);
 
   // Three identical-size entries, written unbounded.
@@ -622,7 +633,7 @@ TEST(BundleCache, CapEvictsLeastRecentlyUsedNotLeastRecentlyWritten) {
 TEST(BundleCache, ConcurrentCappedWritersEndUnderCapWithValidEntries) {
   const std::string dir = ::testing::TempDir() + "/ld_bc_cap_race";
   fs::remove_all(dir);
-  const cache::ClaimedColumns claimed = SmallClaims();
+  const cache::ReplayKeys claimed = SmallClaims();
   const auto counts = ClaimCounts(claimed);
 
   // Size one entry, then cap the directory at two entries' worth.

@@ -113,7 +113,7 @@ TEST(ClaimedTrackerTest, ReplayLoaderAndTenantClaimByTheTable) {
   LogDiverConfig config;
   auto input = LoadReplayInput(config, StreamInputs::FromBundleDir(dir));
   ASSERT_TRUE(input.ok()) << input.status().ToString();
-  const auto& syslog = input->claimed[static_cast<int>(LogSource::kSyslog)];
+  const auto& syslog = input->keys.claimed[static_cast<int>(LogSource::kSyslog)];
   ASSERT_EQ(syslog.size(), ClaimTable().size());
   for (std::size_t i = 0; i < syslog.size(); ++i) {
     EXPECT_EQ(syslog[i].ToIso(), ClaimTable()[i].claim) << i;

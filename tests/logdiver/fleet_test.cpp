@@ -6,8 +6,10 @@
 #include <unistd.h>
 
 #include <filesystem>
+#include <fstream>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "logdiver/fleet/supervisor.hpp"
 #include "logdiver/snapshot.hpp"
@@ -155,6 +157,169 @@ TEST_F(FleetEndToEndTest, TwoShardsReproduceTheSerialReport) {
   EXPECT_TRUE(result->shards[1].completed);
   EXPECT_EQ(result->shards[0].attempts, 1);
   std::filesystem::remove_all(options.partial_dir);
+}
+
+std::vector<std::string> ReadFileLines(const std::string& path) {
+  std::vector<std::string> lines;
+  std::ifstream in(path);
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  return lines;
+}
+
+void WriteFileLines(const std::string& path,
+                    const std::vector<std::string>& lines) {
+  std::ofstream out(path, std::ios::trunc);
+  for (const std::string& line : lines) out << line << "\n";
+}
+
+/// Copies the bundle in `from` to `to` and dirties it: replayed
+/// placements and terminations, garbage lines, a placement whose apid
+/// parses but whose nid list does not, orphan terminations, runs that
+/// never terminate, and a Lustre incident that never recovers in the
+/// second half of syslog.
+void WriteDirtyCopy(const std::string& from, const std::string& to) {
+  std::filesystem::remove_all(to);
+  std::filesystem::copy(from, to);
+  const std::vector<std::string> alps = ReadFileLines(to + "/alps.log");
+  std::vector<std::string> dirty = {"garbage at the head"};
+  for (std::size_t i = 0; i < alps.size(); ++i) {
+    const std::string& line = alps[i];
+    const std::string stamp = line.substr(0, 19);
+    dirty.push_back(line);
+    if (i % 37 == 5) dirty.push_back(line);  // a replayed record
+    if (i % 53 == 7) dirty.push_back("garbage " + std::to_string(i));
+    if (i % 97 == 11) {
+      dirty.push_back(stamp + " apsys[1]: apid=" + std::to_string(880000 + i) +
+                      " exited, status=0 signal=0");  // orphan
+    }
+    if (i % 89 == 3) {
+      dirty.push_back(stamp + " apsched[1]: placeApp apid=" +
+                      std::to_string(660000 + i) +
+                      " jobid=1 user=u cmd=c nodect=1 nids=3");  // never ends
+    }
+    if (i == alps.size() / 3) {
+      dirty.push_back(stamp +
+                      " apsched[1]: placeApp apid=770001 jobid=1 user=u "
+                      "cmd=c nodect=2 nids=5-x");
+    }
+  }
+  WriteFileLines(to + "/alps.log", dirty);
+
+  const std::vector<std::string> syslog = ReadFileLines(to + "/syslog.log");
+  std::vector<std::string> cut;
+  const std::size_t at = syslog.size() / 2;
+  for (std::size_t i = 0; i < syslog.size(); ++i) {
+    const bool recovery =
+        syslog[i].find("sonexion") != std::string::npos &&
+        syslog[i].find("recovered") != std::string::npos;
+    if (i >= at && recovery) continue;  // nothing closes the incident
+    cut.push_back(syslog[i]);
+    if (i == at) {
+      cut.push_back(syslog[i].substr(0, 15) +
+                    " sonexion LustreError: 11-0: snx11003-OST0042: "
+                    "operation ost_write failed");
+    }
+  }
+  WriteFileLines(to + "/syslog.log", cut);
+}
+
+void ExpectSameParseStats(const ParseStats& a, const ParseStats& b) {
+  EXPECT_EQ(a.lines, b.lines);
+  EXPECT_EQ(a.records, b.records);
+  EXPECT_EQ(a.skipped, b.skipped);
+  EXPECT_EQ(a.malformed, b.malformed);
+}
+
+void ExpectSameIngestStats(const IngestStats& a, const IngestStats& b) {
+  EXPECT_EQ(a.quarantined, b.quarantined);
+  EXPECT_EQ(a.quarantine_overflow, b.quarantine_overflow);
+  EXPECT_EQ(a.duplicate_placements, b.duplicate_placements);
+  EXPECT_EQ(a.duplicate_terminations, b.duplicate_terminations);
+  EXPECT_EQ(a.duplicate_job_records, b.duplicate_job_records);
+  EXPECT_EQ(a.watermark_regressions, b.watermark_regressions);
+  EXPECT_EQ(a.evicted_pending_runs, b.evicted_pending_runs);
+  EXPECT_EQ(a.evicted_tuples, b.evicted_tuples);
+  EXPECT_EQ(a.budget_exhausted_sources, b.budget_exhausted_sources);
+  EXPECT_EQ(a.lines_dropped_after_budget, b.lines_dropped_after_budget);
+}
+
+TEST_F(FleetEndToEndTest, DividedAlpsStreamMatchesSerialOnADirtyBundle) {
+  // Each worker parses only its own runs' ALPS records and runs the
+  // others as shadow runs; dedup, orphans, malformed lines and pending
+  // eviction must still come out as the serial analyzer counts them.
+  const std::string dir = TempFleetDir("dirty");
+  WriteDirtyCopy(*bundle_dir_, dir);
+  const StreamInputs inputs = StreamInputs::FromBundleDir(dir);
+  LogDiverConfig config;
+  config.ingest.max_pending_runs = 8;
+
+  StreamingAnalyzer serial(*machine_, config);
+  ASSERT_TRUE(ReplayBundle(config, inputs, {}, serial).ok());
+  StreamingAnalyzer::Summary want = serial.Finalize();
+  want.metrics.ingest = want.ingest;
+  // The dirt took: every path the shadow runs replay is exercised.
+  EXPECT_GE(want.alps_stats.malformed, 3u);
+  EXPECT_GT(want.orphan_terminations, 0u);
+  EXPECT_GT(want.ingest.duplicate_placements, 0u);
+  EXPECT_GT(want.ingest.duplicate_terminations, 0u);
+  EXPECT_GT(want.ingest.evicted_pending_runs, 0u);
+  EXPECT_GT(want.unterminated_runs, 0u);
+
+  for (const std::uint32_t shards : {1u, 2u, 3u, 4u}) {
+    SCOPED_TRACE(shards);
+    fleet::FleetOptions options;
+    options.shard_count = shards;
+    options.partial_dir = TempFleetDir("dirty_partials");
+    const fleet::ShardSupervisor supervisor(*machine_, config);
+    auto got = supervisor.Run(inputs, options);
+    std::filesystem::remove_all(options.partial_dir);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(FingerprintReport(got->report), FingerprintReport(want.metrics));
+    EXPECT_EQ(got->runs_finalized, want.runs_finalized);
+    EXPECT_EQ(got->unterminated_runs, want.unterminated_runs);
+    EXPECT_EQ(got->orphan_terminations, want.orphan_terminations);
+    ExpectSameIngestStats(got->report.ingest, want.ingest);
+    ExpectSameParseStats(got->torque_stats, want.torque_stats);
+    ExpectSameParseStats(got->alps_stats, want.alps_stats);
+    ExpectSameParseStats(got->syslog_stats, want.syslog_stats);
+    ExpectSameParseStats(got->hwerr_stats, want.hwerr_stats);
+  }
+  std::filesystem::remove_all(dir);
+}
+
+TEST_F(FleetEndToEndTest, AlpsErrorBudgetTripsAtEveryShardCount) {
+  const std::string dir = TempFleetDir("budget");
+  WriteDirtyCopy(*bundle_dir_, dir);
+  const StreamInputs inputs = StreamInputs::FromBundleDir(dir);
+  LogDiverConfig config;
+  config.ingest.policy = DegradationPolicy::kFailFast;
+  config.ingest.budget.min_malformed = 2;
+  config.ingest.budget.max_malformed_fraction = 0.0;
+
+  StreamingAnalyzer serial(*machine_, config);
+  ASSERT_TRUE(ReplayBundle(config, inputs, {}, serial).ok());
+  const StreamingAnalyzer::Summary want = serial.Finalize();
+  ASSERT_EQ(want.ingest_status.code(), StatusCode::kParseError);
+  EXPECT_EQ(want.ingest_status.message().rfind("alps:", 0), 0u)
+      << want.ingest_status.message();
+
+  for (const std::uint32_t shards : {1u, 2u, 3u, 4u}) {
+    SCOPED_TRACE(shards);
+    fleet::FleetOptions options;
+    options.shard_count = shards;
+    options.partial_dir = TempFleetDir("budget_partials");
+    const fleet::ShardSupervisor supervisor(*machine_, config);
+    auto got = supervisor.Run(inputs, options);
+    std::filesystem::remove_all(options.partial_dir);
+    ASSERT_FALSE(got.ok());
+    // Every worker trips the same budget and exits ordinarily, so the
+    // fleet passes the failure through instead of retrying it.
+    EXPECT_EQ(got.status().code(), StatusCode::kFailedPrecondition);
+    EXPECT_NE(got.status().message().find("failed ordinarily"),
+              std::string::npos)
+        << got.status().message();
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST_F(FleetEndToEndTest, CrashedShardIsRetriedAndAbsorbed) {

@@ -72,14 +72,14 @@ std::vector<std::uint8_t> FileBytes(const std::string& path) {
 TEST(FramedFileTest, HeaderLayoutIsPinned) {
   // magic | u32 version | u32 CRC | u64 size | u64 fingerprint, all LE:
   // the bytes snapshots and cache entries have always had on disk.  The
-  // version is each kind's own (snapshot 2, bundle cache 4).
+  // version is each kind's own (snapshot 2, bundle cache 5).
   const std::vector<std::uint8_t> payload = {1, 2, 3};
   std::array<std::uint8_t, 24> tail = {
       0,    0,    0,    0,                           // version, per kind
       0x1D, 0x80, 0xBC, 0x55,                        // CRC-32 of {1,2,3}
       3,    0,    0,    0,    0,    0,    0,    0,   // payload size
       0x88, 0x77, 0x66, 0x55, 0x44, 0x33, 0x22, 0x11};
-  const std::uint8_t versions[] = {2, 4};
+  const std::uint8_t versions[] = {2, 5};
   static_assert(std::size(versions) == std::size(kKinds));
   for (std::size_t i = 0; i < std::size(kKinds); ++i) {
     const KindCase& k = kKinds[i];

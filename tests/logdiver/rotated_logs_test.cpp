@@ -161,18 +161,26 @@ TEST(RotatedLogs, AnalyzeBundleHandlesRotatedBundle) {
   auto whole = diver.AnalyzeBundle(dir);
   ASSERT_TRUE(whole.ok());
 
-  // Rotate: first half of each file becomes <name>.log.1.
-  for (const char* name : {"torque.log", "alps.log", "syslog.log",
-                           "hwerr.log"}) {
-    const std::string path = dir + "/" + name;
-    auto lines = ReadLines(path);
-    ASSERT_TRUE(lines.ok());
-    const std::size_t half = lines->size() / 2;
-    WriteFile(path + ".1", {lines->begin(), lines->begin() +
-                                                static_cast<std::ptrdiff_t>(
-                                                    half)});
-    WriteFile(path, {lines->begin() + static_cast<std::ptrdiff_t>(half),
-                     lines->end()});
+  // Rotate: first half of each file becomes <name>.log.1.  Copy every
+  // line out before any file is rewritten under its mapping.
+  const char* names[kNumLogSources] = {"torque.log", "alps.log",
+                                       "syslog.log", "hwerr.log"};
+  std::vector<std::string> lines[kNumLogSources];
+  {
+    auto loaded = OpenBundle(StreamInputs::FromBundleDir(dir), nullptr);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    const LogSetView& v = loaded->views;
+    const std::vector<std::string_view>* views[kNumLogSources] = {
+        &v.torque, &v.alps, &v.syslog, &v.hwerr};
+    for (std::size_t s = 0; s < kNumLogSources; ++s) {
+      lines[s].assign(views[s]->begin(), views[s]->end());
+    }
+  }
+  for (std::size_t s = 0; s < kNumLogSources; ++s) {
+    const auto half = static_cast<std::ptrdiff_t>(lines[s].size() / 2);
+    const std::string path = dir + "/" + names[s];
+    WriteFile(path + ".1", {lines[s].begin(), lines[s].begin() + half});
+    WriteFile(path, {lines[s].begin() + half, lines[s].end()});
   }
 
   auto rotated = diver.AnalyzeBundle(dir);

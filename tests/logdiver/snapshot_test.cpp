@@ -498,5 +498,17 @@ TEST_F(AnalyzerSnapshotTest, FinalizeIsSpentAfterUse) {
   EXPECT_THROW(a.Snapshot(w), std::logic_error);
 }
 
+TEST_F(AnalyzerSnapshotTest, ShardedAnalyzerRefusesToSnapshot) {
+  // A fleet worker's shadow runs hold only an apid and its times; no
+  // snapshot may pass them off as runs.
+  LogDiverConfig config;
+  config.shard = ShardSpec{1, 2};
+  StreamingAnalyzer a(*machine_, config);
+  SnapshotWriter w;
+  EXPECT_THROW(a.Snapshot(w), std::logic_error);
+  StreamingAnalyzer unsharded(*machine_, LogDiverConfig{});
+  EXPECT_NO_THROW(unsharded.Snapshot(w));
+}
+
 }  // namespace
 }  // namespace ld
